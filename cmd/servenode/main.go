@@ -82,13 +82,16 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Register for the shutdown signals before listening: once /readyz can
+	// answer 200 a supervisor may send SIGTERM at any moment, and one that
+	// arrived before Notify would kill the node with no drain.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	srv := &http.Server{Addr: *listen, Handler: node.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "servenode: listening on %s, serving %s\n", *listen, *snapshots)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "servenode: %v: draining\n", sig)

@@ -6,14 +6,18 @@ import (
 	"viptree/internal/model"
 )
 
-// This file implements the arena-packed serving layout. A freshly built (or
-// snapshot-restored) tree stores every node's distance matrix in its own
-// heap allocations; pack() freezes that state into a handful of per-tree
-// contiguous slabs — one []float64 for all matrix distances, one []int32 for
-// all positional next-hops, one []model.DoorID for every sorted door set —
-// and repoints the per-node structures at views into them. Queries then walk
-// a few large arrays instead of hundreds of scattered allocations, which is
-// where the warm Distance/Path/kNN paths spend their memory traffic.
+// This file implements the arena layout, the only layout a Tree or VIPTree
+// has once a constructor returns. Construction and snapshot restore first
+// give every node's distance matrix its own allocation (a non-leaf node's
+// door set is only known inside buildNodeMatrix); pack() then copies the
+// matrices into a handful of per-tree contiguous slabs — one []float64 for
+// all matrix distances, one []int32 for all positional next-hops, one
+// []model.DoorID for every sorted door set — and repoints the per-node
+// structures at views into them. Queries then walk a few large arrays
+// instead of hundreds of scattered allocations, which is where the warm
+// Distance/Path/kNN paths spend their memory traffic. The VIP entries skip
+// the intermediate form: newVIPPacked sizes their slabs from the topology
+// and each materialisation worker writes its door's block in place.
 //
 // pack() additionally precomputes the positional lookup tables the climb
 // loops of Algorithms 2/3/5 need, so the warm query paths perform no
@@ -27,13 +31,12 @@ import (
 //   - supRowInLeaf[p][i]: row position of partition p's i-th superior door
 //     in the matrix of the leaf containing p.
 //
-// Packing never changes query results: every table is derived from the same
-// door sets the binary searches would consult (pack_test.go pins the
-// equivalence on random venues), and the snapshot payload is computed by
-// expanding the arenas back into the per-node form, byte-identical to what
-// an unpacked tree exports.
+// Every table is derived from the same door sets the binary searches would
+// consult, and the snapshot payload expands the arenas back into the
+// per-node form. The D2D ground-truth tests pin the query answers and the
+// golden digests (golden_test.go) pin the payload bytes.
 
-// packed holds the frozen arenas and positional tables of a packed tree.
+// packed holds the frozen arenas and positional tables of a tree.
 type packed struct {
 	// dist is the distance slab: every matrix's cells, row-major, in node
 	// order. Each Matrix.dist is a view into it.
@@ -85,20 +88,27 @@ func (c *doorCSR) empty(d model.DoorID) bool { return c.off[d] == c.off[d+1] }
 // bytes is the exact slab size.
 func (c *doorCSR) bytes() int64 { return int64(len(c.off)+len(c.data)) * 4 }
 
-// packDoorCSR compresses a per-door slice-of-slices table.
-func packDoorCSR(lists [][]NodeID) doorCSR {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	c := doorCSR{off: make([]int32, len(lists)+1), data: make([]int32, 0, total)}
-	for d, l := range lists {
-		c.off[d] = int32(len(c.data))
-		for _, n := range l {
-			c.data = append(c.data, int32(n))
+// newDoorCSR builds a per-door node table over numDoors doors: node n, for
+// n in ascending order, joins the list of every door in doorsOf(n), so each
+// door's list comes out sorted.
+func newDoorCSR(numDoors, numNodes int, doorsOf func(n int) []model.DoorID) doorCSR {
+	c := doorCSR{off: make([]int32, numDoors+1)}
+	for n := 0; n < numNodes; n++ {
+		for _, d := range doorsOf(n) {
+			c.off[d+1]++
 		}
 	}
-	c.off[len(lists)] = int32(len(c.data))
+	for d := 0; d < numDoors; d++ {
+		c.off[d+1] += c.off[d]
+	}
+	c.data = make([]int32, c.off[numDoors])
+	fill := slices.Clone(c.off[:numDoors])
+	for n := 0; n < numNodes; n++ {
+		for _, d := range doorsOf(n) {
+			c.data[fill[d]] = int32(n)
+			fill[d]++
+		}
+	}
 	return c
 }
 
@@ -114,10 +124,12 @@ const (
 	spanAliasRows   = -3 // span aliases the node's packed matrix rows
 )
 
-// pack freezes the tree into the arena layout. It is called once, at the end
-// of construction and of snapshot restore; the tree must not be mutated
-// afterwards (object updates live outside the tree and are unaffected).
-func (t *Tree) pack() {
+// pack freezes the tree into the arena layout. Construction and snapshot
+// restore call it once, handing over the tables only pack() keeps: the
+// per-door node lists and the superior doors of every partition. The tree
+// must not be mutated afterwards (object updates live outside the tree and
+// are unaffected).
+func (t *Tree) pack(leavesOfDoor, accessNodesOfDoor doorCSR, superiorDoors [][]model.DoorID) {
 	numNodes := len(t.nodes)
 
 	// Pass 1: append every door set to the slab, recording spans. Appending
@@ -161,18 +173,20 @@ func (t *Tree) pack() {
 	}
 	// Superior doors are pushed consecutively per partition, so a single
 	// offset array delimits them within the doors slab.
-	supDoorOff := make([]int32, len(t.superiorDoors)+1)
-	for p := range t.superiorDoors {
+	supDoorOff := make([]int32, len(superiorDoors)+1)
+	for p := range superiorDoors {
 		supDoorOff[p] = int32(len(doors))
-		doors = append(doors, t.superiorDoors[p]...)
+		doors = append(doors, superiorDoors[p]...)
 	}
-	supDoorOff[len(t.superiorDoors)] = int32(len(doors))
+	supDoorOff[len(superiorDoors)] = int32(len(doors))
 
 	pk := &packed{
-		dist:       make([]float64, 0, cells),
-		next:       make([]int32, 0, cells),
-		doors:      doors,
-		supDoorOff: supDoorOff,
+		dist:              make([]float64, 0, cells),
+		next:              make([]int32, 0, cells),
+		doors:             doors,
+		supDoorOff:        supDoorOff,
+		leavesOfDoor:      leavesOfDoor,
+		accessNodesOfDoor: accessNodesOfDoor,
 	}
 	view := func(s packSpan, access, rows []model.DoorID) []model.DoorID {
 		switch s.off {
@@ -215,34 +229,25 @@ func (t *Tree) pack() {
 		panic("iptree: pack: matrix slab count drifted from pass 1")
 	}
 
-	pk.leavesOfDoor = packDoorCSR(t.leavesOfDoor)
-	pk.accessNodesOfDoor = packDoorCSR(t.accessNodesOfDoor)
-	t.leavesOfDoor = nil
-	t.accessNodesOfDoor = nil
-
 	t.pk = pk
-	t.packPositions()
-	// The superior-door lists now live in the doors slab (supDoorOff); the
-	// per-partition slices are dropped, and SuperiorDoors serves subslices
-	// of the slab.
-	t.superiorDoors = nil
+	t.packPositions(superiorDoors)
 }
 
 // packPositions fills the positional lookup tables, one contiguous int32
 // slab with per-node/per-partition views.
-func (t *Tree) packPositions() {
+func (t *Tree) packPositions(superiorDoors [][]model.DoorID) {
 	pk := t.pk
 	total := 0
 	for i := range t.nodes {
 		total += 2 * len(t.nodes[i].AccessDoors)
 	}
-	for p := range t.superiorDoors {
-		total += len(t.superiorDoors[p])
+	for p := range superiorDoors {
+		total += len(superiorDoors[p])
 	}
 	pk.pos = make([]int32, 0, total)
 	pk.adPosInOwn = make([][]int32, len(t.nodes))
 	pk.adPosInParent = make([][]int32, len(t.nodes))
-	pk.supPosOff = make([]int32, len(t.superiorDoors)+1)
+	pk.supPosOff = make([]int32, len(superiorDoors)+1)
 
 	fill := func(doors []model.DoorID, find func(model.DoorID) (int, bool)) []int32 {
 		off := len(pk.pos)
@@ -274,16 +279,16 @@ func (t *Tree) packPositions() {
 		}
 		pk.adPosInParent[i] = fill(n.AccessDoors, inParent)
 	}
-	for p := range t.superiorDoors {
+	for p := range superiorDoors {
 		leaf := t.leafOfPartition[p]
 		var find func(model.DoorID) (int, bool)
 		if leaf != invalidNode && t.nodes[leaf].Matrix != nil {
 			find = t.nodes[leaf].Matrix.rowIndexOf
 		}
 		pk.supPosOff[p] = int32(len(pk.pos))
-		fill(t.superiorDoors[p], find)
+		fill(superiorDoors[p], find)
 	}
-	pk.supPosOff[len(t.superiorDoors)] = int32(len(pk.pos))
+	pk.supPosOff[len(superiorDoors)] = int32(len(pk.pos))
 	// Same guard as pack(): growth past the pre-count would orphan the
 	// position views taken during the fill.
 	if len(pk.pos) != total {
@@ -303,13 +308,13 @@ func (pk *packed) supRowsOf(p model.PartitionID) []int32 {
 	return pk.pos[pk.supPosOff[p]:pk.supPosOff[p+1]]
 }
 
-// vipPacked holds the arena form of the VIP-Tree's per-door materialised
-// ancestor tables: the node lists of all doors concatenated into one int32
-// slab, and the (distance, first-door) entries split into a float64 slab and
-// an int32 slab (the distance slab is the one the Distance hot path scans,
-// so splitting doubles its cache density). Entries of door d start at
-// entryOff[d] and follow the node list order, one block of
-// len(AccessDoors(node)) entries per node.
+// vipPacked holds the VIP-Tree's per-door materialised ancestor tables: the
+// node lists of all doors concatenated into one int32 slab, and the
+// (distance, first-door) entries split into a float64 slab and an int32 slab
+// (the distance slab is the one the Distance hot path scans, so splitting
+// doubles its cache density). Entries of door d start at entryOff[d] and
+// follow the node list order, one block of len(AccessDoors(node)) entries
+// per node.
 type vipPacked struct {
 	nodes    []int32   // concatenated ancestor node lists, door order
 	nodesOff []int32   // len numDoors+1: door d's nodes are nodes[nodesOff[d]:nodesOff[d+1]]
@@ -318,38 +323,71 @@ type vipPacked struct {
 	entryOff []int32   // len numDoors+1: door d's entries start at entryOff[d]
 }
 
-// packVIP freezes the transient per-door entry structs produced by
-// materialisation (or snapshot restore) into the VIP arena and drops them.
-func (vt *VIPTree) packVIP(entries []doorEntries) {
+// newVIPPacked sizes the VIP slabs from the tree topology alone and fills
+// in the node lists (see doorAncestors); each door's entry block holds one
+// slot per access door of each of its nodes. The entry slabs are left for
+// materialiseDoor, whose workers each fill their own door's block.
+func (t *Tree) newVIPPacked() *vipPacked {
+	numDoors := t.venue.NumDoors()
+	pk := &vipPacked{
+		nodesOff: make([]int32, numDoors+1),
+		entryOff: make([]int32, numDoors+1),
+	}
+	// The first pass counts, so the node slab is allocated at its exact
+	// size before the second pass fills it.
+	var anc []NodeID
 	numNodes, numEntries := 0, 0
-	for d := range entries {
-		numNodes += len(entries[d].nodes)
-		for _, es := range entries[d].perNode {
-			numEntries += len(es)
+	for d := range numDoors {
+		anc = t.doorAncestors(model.DoorID(d), anc)
+		pk.nodesOff[d] = int32(numNodes)
+		pk.entryOff[d] = int32(numEntries)
+		numNodes += len(anc)
+		for _, n := range anc {
+			numEntries += len(t.nodes[n].AccessDoors)
 		}
 	}
-	pk := &vipPacked{
-		nodes:    make([]int32, 0, numNodes),
-		nodesOff: make([]int32, len(entries)+1),
-		dist:     make([]float64, 0, numEntries),
-		next:     make([]int32, 0, numEntries),
-		entryOff: make([]int32, len(entries)+1),
-	}
-	for d := range entries {
-		de := &entries[d]
-		pk.nodesOff[d] = int32(len(pk.nodes))
-		pk.entryOff[d] = int32(len(pk.dist))
-		for i, n := range de.nodes {
+	pk.nodesOff[numDoors] = int32(numNodes)
+	pk.entryOff[numDoors] = int32(numEntries)
+	pk.nodes = make([]int32, 0, numNodes)
+	for d := range numDoors {
+		anc = t.doorAncestors(model.DoorID(d), anc)
+		for _, n := range anc {
 			pk.nodes = append(pk.nodes, int32(n))
-			for _, e := range de.perNode[i] {
-				pk.dist = append(pk.dist, e.dist)
-				pk.next = append(pk.next, int32(e.next))
+		}
+	}
+	pk.dist = make([]float64, numEntries)
+	pk.next = make([]int32, numEntries)
+	return pk
+}
+
+// doorAncestors returns, reusing buf's storage, the node list of door d's
+// VIP entries: every ancestor of every leaf holding d, the leaves included,
+// each once, in (level, ID) order. A climb stops at the first node already
+// listed, whose ancestors are then listed too.
+func (t *Tree) doorAncestors(d model.DoorID, buf []NodeID) []NodeID {
+	buf = buf[:0]
+	for _, leaf := range t.pk.leavesOfDoor.of(d) {
+		for cur := NodeID(leaf); cur != invalidNode && !slices.Contains(buf, cur); cur = t.nodes[cur].Parent {
+			buf = append(buf, cur)
+		}
+	}
+	sortNodesByLevel(t, buf)
+	return buf
+}
+
+// sortNodesByLevel orders node IDs by increasing level (stable by ID).
+func sortNodesByLevel(t *Tree, nodes []NodeID) {
+	for i := 1; i < len(nodes); i++ {
+		for j := i; j > 0; j-- {
+			a, b := nodes[j-1], nodes[j]
+			if t.nodes[a].Level > t.nodes[b].Level ||
+				(t.nodes[a].Level == t.nodes[b].Level && a > b) {
+				nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
+			} else {
+				break
 			}
 		}
 	}
-	pk.nodesOff[len(entries)] = int32(len(pk.nodes))
-	pk.entryOff[len(entries)] = int32(len(pk.dist))
-	vt.vpk = pk
 }
 
 // arenaBytes returns the exact size of the packed VIP slabs.

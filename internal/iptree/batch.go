@@ -448,14 +448,6 @@ func resizeF64(buf []float64, n int) []float64 {
 // to per-pair Distance calls at any worker count; workers <= 1 runs on the
 // calling goroutine.
 func (t *Tree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
-	if t.pk == nil {
-		// Unpacked intermediate state (pack_test.go only): no positional
-		// tables to share, answer per query.
-		runParallel(len(pairs), workers, func(_, i int) {
-			out[i] = t.Distance(pairs[i].S, pairs[i].T)
-		})
-		return
-	}
 	t.distanceBatch(pairs, out, workers, t.ipEndpointTables)
 }
 
@@ -464,12 +456,6 @@ func (t *Tree) DistanceBatch(pairs []index.LocationPair, out []float64, workers 
 // comes from the materialised per-door entries (one sideDistsOnly sweep per
 // needed level) instead of a climb.
 func (vt *VIPTree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
-	if vt.pk == nil {
-		runParallel(len(pairs), workers, func(_, i int) {
-			out[i] = vt.Distance(pairs[i].S, pairs[i].T)
-		})
-		return
-	}
 	vt.Tree.distanceBatch(pairs, out, workers, vt.vipEndpointTables)
 }
 

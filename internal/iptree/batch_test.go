@@ -184,15 +184,3 @@ func TestDistanceBatchConcurrent(t *testing.T) {
 		t.Fatal(e)
 	}
 }
-
-// TestDistanceBatchUnpacked pins the fallback on the unpacked intermediate
-// state (no positional tables): still bit-identical to Distance.
-func TestDistanceBatchUnpacked(t *testing.T) {
-	v := randomVenue(33)
-	tree, err := buildIPTreeUnpacked(v, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := batchWorkload(v, 50, 13)
-	checkBatchMatches(t, tree, pairs)
-}

@@ -1,6 +1,7 @@
 package iptree
 
 import (
+	"slices"
 	"sort"
 
 	"viptree/internal/graph"
@@ -110,29 +111,26 @@ func (t *Tree) buildLeaves() {
 		id := NodeID(len(t.nodes))
 		sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
 		t.nodes = append(t.nodes, Node{ID: id, Parent: invalidNode, Level: 1, Partitions: parts})
-		doorSet := make(map[model.DoorID]bool)
 		for _, pid := range parts {
 			t.leafOfPartition[pid] = id
-			for _, d := range v.Partition(pid).Doors {
-				doorSet[d] = true
-			}
 		}
-		doors := make([]model.DoorID, 0, len(doorSet))
-		for d := range doorSet {
-			doors = append(doors, d)
-		}
-		sort.Slice(doors, func(i, j int) bool { return doors[i] < doors[j] })
-		t.doorsOfLeaf[id] = doors
+		t.doorsOfLeaf[id] = doorsOfPartitions(v, parts)
 	}
+}
 
-	// Per-door bookkeeping: the leaves containing each door. Leaves are
-	// visited in ascending ID order, so the per-door lists are born sorted.
-	t.leavesOfDoor = make([][]NodeID, v.NumDoors())
-	for leaf, doors := range t.doorsOfLeaf {
-		for _, d := range doors {
-			t.leavesOfDoor[d] = append(t.leavesOfDoor[d], NodeID(leaf))
-		}
+// doorsOfPartitions returns the doors of the given partitions as a sorted
+// set: the door set of the leaf covering them.
+func doorsOfPartitions(v *model.Venue, parts []model.PartitionID) []model.DoorID {
+	n := 0
+	for _, pid := range parts {
+		n += len(v.Partition(pid).Doors)
 	}
+	doors := make([]model.DoorID, 0, n)
+	for _, pid := range parts {
+		doors = append(doors, v.Partition(pid).Doors...)
+	}
+	slices.Sort(doors)
+	return slices.Compact(doors)
 }
 
 // accessDoorsOfLeaf computes AD(N) for a leaf: the doors connecting it to
@@ -223,20 +221,26 @@ func (t *Tree) buildHierarchy() {
 		t.root = t.newInternalNode(current, level+1, curNodeOf)
 		t.updateCurrentNodes([]NodeID{t.root}, curNodeOf)
 	}
+}
 
-	// Per-door access bookkeeping used by path decomposition and VIP
-	// materialisation.
-	t.isLeafAccessDoor = make([]bool, t.venue.NumDoors())
-	t.accessNodesOfDoor = make([][]NodeID, t.venue.NumDoors())
+// indexDoors derives the per-door tables from the node array and the leaf
+// door sets, for construction and snapshot restore alike. It marks the
+// access doors of leaves (leaf next hops need them) and returns, for pack(),
+// the leaves containing each door and the nodes N with the door in AD(N),
+// both of which path decomposition and VIP materialisation consult.
+func (t *Tree) indexDoors() (leavesOfDoor, accessNodesOfDoor doorCSR) {
+	numDoors := t.venue.NumDoors()
+	t.isLeafAccessDoor = make([]bool, numDoors)
 	for i := range t.nodes {
-		n := &t.nodes[i]
-		for _, d := range n.AccessDoors {
-			if n.IsLeaf() {
+		if n := &t.nodes[i]; n.IsLeaf() {
+			for _, d := range n.AccessDoors {
 				t.isLeafAccessDoor[d] = true
 			}
-			t.accessNodesOfDoor[d] = append(t.accessNodesOfDoor[d], n.ID)
 		}
 	}
+	leavesOfDoor = newDoorCSR(numDoors, len(t.doorsOfLeaf), func(n int) []model.DoorID { return t.doorsOfLeaf[n] })
+	accessNodesOfDoor = newDoorCSR(numDoors, len(t.nodes), func(n int) []model.DoorID { return t.nodes[n].AccessDoors })
+	return leavesOfDoor, accessNodesOfDoor
 }
 
 // createNextLevel is Algorithm 1: merge the nodes of the current level so
@@ -441,15 +445,16 @@ func (t *Tree) connectedViaD2D(a, b []NodeID) bool {
 
 // buildLeafMatrices implements step 3: for each access door of each leaf,
 // run a Dijkstra search on the D2D graph until every door of the leaf is
-// settled, then populate distances, next-hop doors and superior doors.
+// settled, then populate distances and next-hop doors. It returns the
+// superior doors of every partition.
 //
 // Each leaf only reads shared immutable state (the venue, the D2D graph, the
-// access-door bookkeeping of buildHierarchy) and writes leaf-owned state (its
+// access-door bookkeeping of indexDoors) and writes leaf-owned state (its
 // matrix and the superior doors of its partitions, each partition belonging
 // to exactly one leaf), so the per-leaf loop fans out over a worker pool and
 // produces bit-identical results at any parallelism.
-func (t *Tree) buildLeafMatrices() {
-	t.superiorDoors = make([][]model.DoorID, t.venue.NumPartitions())
+func (t *Tree) buildLeafMatrices() [][]model.DoorID {
+	superiorDoors := make([][]model.DoorID, t.venue.NumPartitions())
 	leaves := make([]NodeID, 0, len(t.nodes))
 	for i := range t.nodes {
 		if t.nodes[i].IsLeaf() {
@@ -459,15 +464,16 @@ func (t *Tree) buildLeafMatrices() {
 	workers := min(t.opts.workers(), len(leaves))
 	scratches := make([]leafScratch, max(workers, 1))
 	runParallel(len(leaves), workers, func(w, i int) {
-		t.buildOneLeafMatrix(leaves[i], &scratches[w])
+		t.buildOneLeafMatrix(leaves[i], &scratches[w], superiorDoors)
 	})
+	return superiorDoors
 }
 
-// buildOneLeafMatrix populates the distance matrix and superior doors of a
-// single leaf, reusing the worker's scratch across leaves: door-membership
+// buildOneLeafMatrix populates the distance matrix of a single leaf and the
+// superior doors of its partitions, reusing the worker's scratch across leaves: door-membership
 // sets reset by epoch, Dijkstra buffers reset per touched vertex, and flat
 // superior-door marks — no per-leaf maps or per-entry allocations.
-func (t *Tree) buildOneLeafMatrix(id NodeID, sc *leafScratch) {
+func (t *Tree) buildOneLeafMatrix(id NodeID, sc *leafScratch, superiorDoors [][]model.DoorID) {
 	v := t.venue
 	d2d := v.D2D().Graph
 	leaf := &t.nodes[id]
@@ -514,7 +520,7 @@ func (t *Tree) buildOneLeafMatrix(id NodeID, sc *leafScratch) {
 			t.markSuperiorDoors(leaf, a, prev, sc)
 		}
 	}
-	t.assembleSuperiorDoors(leaf, sc)
+	t.assembleSuperiorDoors(leaf, sc, superiorDoors)
 }
 
 // leafNextHop determines the next-hop door stored in a leaf matrix for the
@@ -606,14 +612,14 @@ func doorInPartition(v *model.Venue, d model.DoorID, pid model.PartitionID) bool
 }
 
 // assembleSuperiorDoors turns the accumulated marks into the superior-door
-// lists of the leaf's partitions: the local access doors plus every marked
-// door, in partition-door order.
-func (t *Tree) assembleSuperiorDoors(leaf *Node, sc *leafScratch) {
+// lists of the leaf's partitions in superiorDoors: the local access doors
+// plus every marked door, in partition-door order.
+func (t *Tree) assembleSuperiorDoors(leaf *Node, sc *leafScratch, superiorDoors [][]model.DoorID) {
 	v := t.venue
 	for pi, pid := range leaf.Partitions {
 		part := v.Partition(pid)
 		if t.opts.DisableSuperiorDoors {
-			t.superiorDoors[pid] = append([]model.DoorID(nil), part.Doors...)
+			superiorDoors[pid] = append([]model.DoorID(nil), part.Doors...)
 			continue
 		}
 		off := sc.supOffset[pi]
@@ -633,7 +639,7 @@ func (t *Tree) assembleSuperiorDoors(leaf *Node, sc *leafScratch) {
 		if len(sup) == 0 {
 			sup = append(sup, part.Doors...)
 		}
-		t.superiorDoors[pid] = sup
+		superiorDoors[pid] = sup
 	}
 }
 

@@ -179,22 +179,13 @@ func (ls *levelScratch) lookup(d model.DoorID) (int, bool) {
 }
 
 // vipScratchBuild is the per-worker working set of VIP materialisation: the
-// dense distance/via table over doors and the node-visited marks of the climb.
+// dense distance/via table over doors.
 type vipScratchBuild struct {
 	tab doorTable
-	// nodeSeen marks the tree nodes already on the climb order.
-	nodeSeen epochStamps
-	climb    []NodeID
-	order    []NodeID
 	// propDoors/propRows pair each child access door of the node being
 	// propagated with its row position in the node's matrix.
 	propDoors []model.DoorID
 	propRows  []int32
 }
 
-func (sc *vipScratchBuild) reset(numDoors, numNodes int) {
-	sc.tab.reset(numDoors)
-	sc.nodeSeen.reset(numNodes)
-	sc.climb = sc.climb[:0]
-	sc.order = sc.order[:0]
-}
+func (sc *vipScratchBuild) reset(numDoors int) { sc.tab.reset(numDoors) }

@@ -86,15 +86,6 @@ func (ix *doorIndex) find(d model.DoorID) (int, bool) {
 	return lo, true
 }
 
-// memoryBytes estimates the memory used by the lookup structure, excluding a
-// sorted slice that aliases the door set it indexes.
-func (ix *doorIndex) memoryBytes() int64 {
-	if ix.pos == nil {
-		return sizeofSliceHeader
-	}
-	return int64(len(ix.sorted))*sizeofDoorID + int64(len(ix.pos))*4 + 2*sizeofSliceHeader
-}
-
 // Matrix is a distance matrix of an IP-Tree node. For leaf nodes the rows
 // are every door of the node and the columns its access doors; for non-leaf
 // nodes rows and columns are both the union of the children's access doors.
@@ -108,10 +99,11 @@ func (ix *doorIndex) memoryBytes() int64 {
 // path that leaves the leaf, a level-graph fallback hop) is escape-encoded
 // as -2-id; NoDoor is -1.
 //
-// After construction the per-matrix dist/next arrays are repacked into
-// per-tree contiguous arenas (see pack in arena.go); the slices here then
-// become views into those arenas, so the struct is effectively an
-// (offset, rows, cols) descriptor over the tree's slabs.
+// Construction fills each matrix in its own dist/next arrays; pack()
+// (arena.go) then copies them into the tree's contiguous slabs before the
+// tree is returned, so on every tree a caller can hold the slices here are
+// views into those slabs and the struct is effectively an (offset, rows,
+// cols) descriptor over them.
 type Matrix struct {
 	rows   []model.DoorID
 	cols   []model.DoorID
@@ -167,31 +159,6 @@ func (m *Matrix) decodeNext(v int32) model.DoorID {
 // Rows returns the row door IDs.
 func (m *Matrix) Rows() []model.DoorID { return m.rows }
 
-// Cols returns the column door IDs.
-func (m *Matrix) Cols() []model.DoorID { return m.cols }
-
-// HasRow reports whether door d is a row of the matrix.
-func (m *Matrix) HasRow(d model.DoorID) bool { _, ok := m.rowIdx.find(d); return ok }
-
-// HasCol reports whether door d is a column of the matrix.
-func (m *Matrix) HasCol(d model.DoorID) bool { _, ok := m.colIdx.find(d); return ok }
-
-// Has reports whether the matrix stores an entry from row door a to column
-// door b.
-func (m *Matrix) Has(a, b model.DoorID) bool { return m.HasRow(a) && m.HasCol(b) }
-
-func (m *Matrix) index(row, col model.DoorID) (int, bool) {
-	i, ok := m.rowIdx.find(row)
-	if !ok {
-		return 0, false
-	}
-	j, ok := m.colIdx.find(col)
-	if !ok {
-		return 0, false
-	}
-	return i*len(m.cols) + j, true
-}
-
 // setAt records the entry for the row/col positions directly (both aligned
 // with Rows()/Cols()); build loops iterate positionally, so the matrix has
 // no door-ID-keyed mutator. The next-hop door is given as a global ID and
@@ -205,21 +172,15 @@ func (m *Matrix) setAt(row, col int, dist float64, next model.DoorID) {
 // Dist returns the stored distance from row door a to column door b, or
 // Infinite if the entry does not exist.
 func (m *Matrix) Dist(a, b model.DoorID) float64 {
-	idx, ok := m.index(a, b)
+	i, ok := m.rowIdx.find(a)
 	if !ok {
 		return Infinite
 	}
-	return m.dist[idx]
-}
-
-// Next returns the next-hop door on the shortest path from row door a to
-// column door b, or NoDoor if the edge is final or the entry does not exist.
-func (m *Matrix) Next(a, b model.DoorID) model.DoorID {
-	idx, ok := m.index(a, b)
+	j, ok := m.colIdx.find(b)
 	if !ok {
-		return NoDoor
+		return Infinite
 	}
-	return m.decodeNext(m.next[idx])
+	return m.distAt(i, j)
 }
 
 // rowIndexOf returns the position of door d among the rows.
@@ -254,13 +215,4 @@ func (m *Matrix) locate(a, b model.DoorID) (row, col int, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// memoryBytes estimates the memory used by an unpacked matrix (one whose
-// dist/next arrays are still per-matrix allocations). Packed trees account
-// for their matrices arena-wide instead; see Tree.MemoryBytes.
-func (m *Matrix) memoryBytes() int64 {
-	cells := int64(len(m.dist))
-	return cells*(8+4) + int64(len(m.rows)+len(m.cols))*sizeofDoorID +
-		m.rowIdx.memoryBytes() + m.colIdx.memoryBytes() + sizeofMatrixStruct
 }

@@ -141,14 +141,6 @@ func (oi *ObjectIndex) KNNBatch(queries []index.KNNQuery, out [][]index.ObjectRe
 	}
 	ep := oi.currentEpoch()
 	t := oi.tree
-	if t.pk == nil {
-		// Unpacked intermediate trees have no batch plan; answer per query
-		// against the pinned epoch.
-		runParallel(len(queries), workers, func(_, i int) {
-			out[i] = oi.knnAt(ep, queries[i].Q, queries[i].K)
-		})
-		return
-	}
 	oi.objectBatch(len(queries), workers,
 		func(i int) model.Location { return queries[i].Q },
 		func(group []int32, qLeaf NodeID, oc *objScratch) {
@@ -195,12 +187,6 @@ func (oi *ObjectIndex) RangeBatch(queries []index.RangeQuery, out [][]index.Obje
 	}
 	ep := oi.currentEpoch()
 	t := oi.tree
-	if t.pk == nil {
-		runParallel(len(queries), workers, func(_, i int) {
-			out[i] = oi.rangeAt(ep, queries[i].Q, queries[i].R)
-		})
-		return
-	}
 	oi.objectBatch(len(queries), workers,
 		func(i int) model.Location { return queries[i].Q },
 		func(group []int32, qLeaf NodeID, oc *objScratch) {

@@ -200,20 +200,6 @@ func TestObjectBatchCampus(t *testing.T) {
 	}
 }
 
-// TestObjectBatchUnpacked pins the per-query fallback on the unpacked
-// intermediate state (no positional tables): still identical to sequential.
-func TestObjectBatchUnpacked(t *testing.T) {
-	v := randomVenue(47)
-	tree, err := buildIPTreeUnpacked(v, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oi := tree.IndexObjects(objectSet(v, 20, 3))
-	points := knnPoints(v, 40, 9)
-	checkKNNBatchMatches(t, oi, points, 41)
-	checkRangeBatchMatches(t, oi, points, 43)
-}
-
 // TestObjectBatchUnderMovers drives batches concurrently with movers and
 // checks the epoch pin: every query of one batch must answer from the same
 // published epoch. The batch repeats one identical query many times while a

@@ -241,22 +241,9 @@ func newObjectIndex(t *Tree, name string, startSeq uint64) *ObjectIndex {
 		if !n.IsLeaf() || n.Matrix == nil {
 			continue
 		}
-		if t.pk != nil {
-			// The packed tree already holds exactly this table (a leaf's
-			// adPosInOwn positions are its matrix column positions); share
-			// the view instead of recomputing it.
-			oi.leafColPos[i] = t.pk.adPosInOwn[i]
-			continue
-		}
-		pos := make([]int32, len(n.AccessDoors))
-		for ai, a := range n.AccessDoors {
-			if p, ok := n.Matrix.colIndexOf(a); ok {
-				pos[ai] = int32(p)
-			} else {
-				pos[ai] = -1
-			}
-		}
-		oi.leafColPos[i] = pos
+		// A leaf's adPosInOwn positions are exactly its matrix column
+		// positions; share the tree's view.
+		oi.leafColPos[i] = t.pk.adPosInOwn[i]
 	}
 	return oi
 }
@@ -642,14 +629,9 @@ func (oi *ObjectIndex) MemoryBytes() int64 {
 	total += int64(len(ep.leafData)) * 8 * 2     // epoch + shadow *leafObjects pointers
 	total += int64(len(ep.subtreeCount)) * 8 * 2 // epoch + shadow counts
 	total += int64(len(oi.leafStamp)) * 8
+	// The position data itself is shared with (and counted by) the tree's
+	// pos slab.
 	total += int64(len(oi.leafColPos)) * sizeofSliceHeader
-	if oi.tree.pk == nil {
-		// On packed trees the position data is shared with (and counted by)
-		// the tree's pos slab; only unpacked trees own a private copy.
-		for _, pos := range oi.leafColPos {
-			total += int64(len(pos)) * 4
-		}
-	}
 	return total
 }
 
@@ -830,70 +812,43 @@ func (oi *ObjectIndex) childMinDist(q model.Location, qLeaf NodeID, parent, chil
 	baseDoors := t.nodes[baseNode].AccessDoors
 	childAD := t.nodes[child].AccessDoors
 	dists := nd.put(child, len(childAD))
-	if t.pk != nil {
-		// Packed: the base node's and the child's access-door positions in
-		// the parent matrix are precomputed (own-matrix positions when the
-		// base is the parent itself, parent-matrix positions when it is a
-		// sibling). The reachable base doors are gathered into compact
-		// (distance, row) pairs once — instead of being re-filtered for
-		// every child door — and each child door's minimum is then a tight
-		// sweep whose only data-dependent branch is the min update; an
-		// unreachable matrix cell yields a candidate of Infinite, which
-		// cannot win the strict <.
-		baseRows := t.pk.adPosInParent[baseNode]
-		if baseNode == parent {
-			baseRows = t.pk.adPosInOwn[parent]
-		}
-		childCols := t.pk.adPosInParent[child]
-		cmBase, cmRows := oc.cmBase[:0], oc.cmRows[:0]
-		if baseDists != nil {
-			for j := range baseDoors {
-				if baseDists[j] != Infinite && baseRows[j] >= 0 {
-					cmBase = append(cmBase, baseDists[j])
-					cmRows = append(cmRows, baseRows[j])
-				}
-			}
-		}
-		oc.cmBase, oc.cmRows = cmBase, cmRows
-		stride := len(mat.cols)
-		slab := mat.dist
-		for i := range childAD {
-			best := Infinite
-			ci := childCols[i]
-			if ci >= 0 {
-				for k, b := range cmBase {
-					if c := b + slab[int(cmRows[k])*stride+int(ci)]; c < best {
-						best = c
-					}
-				}
-			}
-			// A missing column or an unreached base node (disconnected
-			// venue) leaves the child unreachable.
-			dists[i] = best
-		}
-		return minOf(dists)
+	// The base node's and the child's access-door positions in the parent
+	// matrix are precomputed (own-matrix positions when the base is the
+	// parent itself, parent-matrix positions when it is a sibling). The
+	// reachable base doors are gathered into compact (distance, row) pairs
+	// once — instead of being re-filtered for every child door — and each
+	// child door's minimum is then a tight sweep whose only data-dependent
+	// branch is the min update; an unreachable matrix cell yields a candidate
+	// of Infinite, which cannot win the strict <.
+	baseRows := t.pk.adPosInParent[baseNode]
+	if baseNode == parent {
+		baseRows = t.pk.adPosInOwn[parent]
 	}
-	for i, di := range childAD {
+	childCols := t.pk.adPosInParent[child]
+	cmBase, cmRows := oc.cmBase[:0], oc.cmRows[:0]
+	if baseDists != nil {
+		for j := range baseDoors {
+			if baseDists[j] != Infinite && baseRows[j] >= 0 {
+				cmBase = append(cmBase, baseDists[j])
+				cmRows = append(cmRows, baseRows[j])
+			}
+		}
+	}
+	oc.cmBase, oc.cmRows = cmBase, cmRows
+	stride := len(mat.cols)
+	slab := mat.dist
+	for i := range childAD {
 		best := Infinite
-		if baseDists == nil {
-			// The base node was never reached (disconnected venue); leave
-			// the child unreachable.
-			dists[i] = best
-			continue
-		}
-		for j, dj := range baseDoors {
-			base := baseDists[j]
-			if base == Infinite {
-				continue
-			}
-			md := mat.Dist(dj, di)
-			if md == Infinite {
-				continue
-			}
-			if base+md < best {
-				best = base + md
+		ci := childCols[i]
+		if ci >= 0 {
+			for k, b := range cmBase {
+				if c := b + slab[int(cmRows[k])*stride+int(ci)]; c < best {
+					best = c
+				}
 			}
 		}
+		// A missing column or an unreached base node (disconnected venue)
+		// leaves the child unreachable.
 		dists[i] = best
 	}
 	return minOf(dists)

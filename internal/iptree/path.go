@@ -224,41 +224,21 @@ func (t *Tree) decompositionEntry(a, b model.DoorID) (*Matrix, int, int, bool) {
 			bestMat, bestRow, bestCol, bestLevel = mat, row, col, lvl
 		}
 	}
-	if pk := t.pk; pk != nil {
-		// Packed: the candidate lists live in the two compressed per-door
-		// slabs.
-		for _, n := range pk.leavesOfDoor.of(a) {
-			visit(NodeID(n))
+	pk := t.pk
+	for _, n := range pk.leavesOfDoor.of(a) {
+		visit(NodeID(n))
+	}
+	for _, n := range pk.accessNodesOfDoor.of(a) {
+		if p := t.nodes[n].Parent; p != invalidNode {
+			visit(p)
 		}
-		for _, n := range pk.accessNodesOfDoor.of(a) {
-			if p := t.nodes[n].Parent; p != invalidNode {
-				visit(p)
-			}
-		}
-		for _, n := range pk.leavesOfDoor.of(b) {
-			visit(NodeID(n))
-		}
-		for _, n := range pk.accessNodesOfDoor.of(b) {
-			if p := t.nodes[n].Parent; p != invalidNode {
-				visit(p)
-			}
-		}
-	} else {
-		for _, n := range t.leavesOfDoor[a] {
-			visit(n)
-		}
-		for _, n := range t.accessNodesOfDoor[a] {
-			if p := t.nodes[n].Parent; p != invalidNode {
-				visit(p)
-			}
-		}
-		for _, n := range t.leavesOfDoor[b] {
-			visit(n)
-		}
-		for _, n := range t.accessNodesOfDoor[b] {
-			if p := t.nodes[n].Parent; p != invalidNode {
-				visit(p)
-			}
+	}
+	for _, n := range pk.leavesOfDoor.of(b) {
+		visit(NodeID(n))
+	}
+	for _, n := range pk.accessNodesOfDoor.of(b) {
+		if p := t.nodes[n].Parent; p != invalidNode {
+			visit(p)
 		}
 	}
 	if bestMat == nil {

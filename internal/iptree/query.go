@@ -52,79 +52,52 @@ func (t *Tree) distancesToNode(src model.Location, target NodeID, sd *sourceDist
 
 // seedLeafDistances computes dist(src, d) for every access door d of the
 // leaf containing src using the superior doors of the source partition
-// (Section 3.1.1, Eq. 1 restricted to superior doors). On a packed tree the
-// superior doors' row positions and the access doors' column positions in
-// the leaf matrix are precomputed, so the double loop sweeps the matrix
-// slab positionally — no binary searches.
+// (Section 3.1.1, Eq. 1 restricted to superior doors). The superior doors'
+// row positions and the access doors' column positions in the leaf matrix
+// are precomputed, so the double loop sweeps the matrix slab positionally —
+// no binary searches.
 func (t *Tree) seedLeafDistances(src model.Location, leaf NodeID, sd *sourceDists) {
 	v := t.venue
 	mat := t.nodes[leaf].Matrix
-	if t.pk != nil {
-		sup := t.pk.superiorDoorsOf(src.Partition)
-		supRows := t.pk.supRowsOf(src.Partition)
-		cols := t.pk.adPosInOwn[leaf]
-		ads := t.nodes[leaf].AccessDoors
-		// Superior door outer, access door inner: the walk distance to each
-		// superior door is computed once, and the per-door first-wins
-		// strict-< update visits candidates for each access door in the
-		// same superior-door order the unpacked loop uses, so winners (and
-		// their via doors) are identical. The batched seed shares the same
-		// candidate order through seedLeafCompact; at single-query scale the
-		// in-place update beats gathering (the compact arrays only pay for
-		// themselves when one gather serves a whole batch group).
-		for si, s := range sup {
-			ri := supRows[si]
-			if ri < 0 {
+	sup := t.pk.superiorDoorsOf(src.Partition)
+	supRows := t.pk.supRowsOf(src.Partition)
+	cols := t.pk.adPosInOwn[leaf]
+	ads := t.nodes[leaf].AccessDoors
+	// Superior door outer, access door inner: the walk distance to each
+	// superior door is computed once, and the per-door first-wins strict-<
+	// update offers each access door its candidates in superior-door order.
+	// The batched seed shares the same candidate order through
+	// seedLeafCompact; at single-query scale the in-place update beats
+	// gathering (the compact arrays only pay for themselves when one gather
+	// serves a whole batch group).
+	for si, s := range sup {
+		ri := supRows[si]
+		if ri < 0 {
+			continue
+		}
+		d := v.DistToDoor(src, s)
+		for ai, a := range ads {
+			ci := cols[ai]
+			if ci < 0 {
 				continue
 			}
-			d := v.DistToDoor(src, s)
-			for ai, a := range ads {
-				ci := cols[ai]
-				if ci < 0 {
-					continue
-				}
-				md := mat.distAt(int(ri), int(ci))
-				if md == Infinite {
-					continue
-				}
-				total := d + md
-				if cur, ok := sd.tab.get(a); !ok || total < cur {
-					if s == a {
-						sd.tab.set(a, total, NoDoor)
-					} else {
-						sd.tab.set(a, total, s)
-					}
-				}
-			}
-		}
-		return
-	}
-	sup := t.superiorDoors[src.Partition]
-	for _, a := range t.nodes[leaf].AccessDoors {
-		best := Infinite
-		bestVia := NoDoor
-		for _, s := range sup {
-			d := v.DistToDoor(src, s)
-			md := mat.Dist(s, a)
+			md := mat.distAt(int(ri), int(ci))
 			if md == Infinite {
 				continue
 			}
-			if d+md < best {
-				best = d + md
+			total := d + md
+			if cur, ok := sd.tab.get(a); !ok || total < cur {
 				if s == a {
-					bestVia = NoDoor
+					sd.tab.set(a, total, NoDoor)
 				} else {
-					bestVia = s
+					sd.tab.set(a, total, s)
 				}
 			}
-		}
-		if best < Infinite {
-			sd.tab.set(a, best, bestVia)
 		}
 	}
 }
 
-// seedLeafCompact is the shared core of the packed seed: it gathers the
+// seedLeafCompact is the shared core of the leaf seed: it gathers the
 // compact (column, door) destinations of leaf's access doors and the compact
 // (walk distance, row, door) sources of src's superior doors, and sweeps the
 // leaf matrix slab into cb.best/cb.via. Candidates are offered in the same
@@ -165,62 +138,35 @@ func (t *Tree) seedLeafCompact(src model.Location, leaf NodeID, cb *combineScrat
 
 // propagateToParent extends the distances from the access doors of child to
 // the access doors of parent using the parent's distance matrix (Lemma 1 and
-// Eq. 2). Doors whose distance is already known are not recomputed. On a
-// packed tree the child access doors' row positions and the parent access
-// doors' positions in the parent's own matrix are precomputed, so the climb
-// is fully positional.
+// Eq. 2). Doors whose distance is already known are not recomputed. The
+// child access doors' row positions and the parent access doors' positions
+// in the parent's own matrix are precomputed, so the climb is fully
+// positional.
 func (t *Tree) propagateToParent(child, parent NodeID, sd *sourceDists) {
 	mat := t.nodes[parent].Matrix
 	childAD := t.nodes[child].AccessDoors
-	if t.pk != nil {
-		childRows := t.pk.adPosInParent[child]
-		parentPos := t.pk.adPosInOwn[parent]
-		for pi, d := range t.nodes[parent].AccessDoors {
-			if sd.tab.has(d) {
-				continue
-			}
-			ci := parentPos[pi]
-			if ci < 0 {
-				continue
-			}
-			best := Infinite
-			bestVia := NoDoor
-			for ki, di := range childAD {
-				ri := childRows[ki]
-				if ri < 0 {
-					continue
-				}
-				base, ok := sd.tab.get(di)
-				if !ok {
-					continue
-				}
-				md := mat.distAt(int(ri), int(ci))
-				if md == Infinite {
-					continue
-				}
-				if base+md < best {
-					best = base + md
-					bestVia = di
-				}
-			}
-			if best < Infinite {
-				sd.tab.set(d, best, bestVia)
-			}
-		}
-		return
-	}
-	for _, d := range t.nodes[parent].AccessDoors {
+	childRows := t.pk.adPosInParent[child]
+	parentPos := t.pk.adPosInOwn[parent]
+	for pi, d := range t.nodes[parent].AccessDoors {
 		if sd.tab.has(d) {
+			continue
+		}
+		ci := parentPos[pi]
+		if ci < 0 {
 			continue
 		}
 		best := Infinite
 		bestVia := NoDoor
-		for _, di := range childAD {
+		for ki, di := range childAD {
+			ri := childRows[ki]
+			if ri < 0 {
+				continue
+			}
 			base, ok := sd.tab.get(di)
 			if !ok {
 				continue
 			}
-			md := mat.Dist(di, d)
+			md := mat.distAt(int(ri), int(ci))
 			if md == Infinite {
 				continue
 			}
@@ -274,50 +220,27 @@ func (t *Tree) distanceInternal(s, d model.Location, sc *distScratch) (float64, 
 	mat := t.nodes[lca].Matrix
 	best := Infinite
 	bestPair := none
-	if t.pk != nil {
-		// Packed: both children's access-door positions among the LCA matrix
-		// rows/columns are precomputed — the pairing loop is positional.
-		rowS := t.pk.adPosInParent[ns]
-		colD := t.pk.adPosInParent[nt]
-		for i, di := range t.nodes[ns].AccessDoors {
-			if rowS[i] < 0 {
-				continue
-			}
-			ds, ok := sdS.tab.get(di)
-			if !ok {
-				continue
-			}
-			for j, dj := range t.nodes[nt].AccessDoors {
-				if colD[j] < 0 {
-					continue
-				}
-				dd, ok := sdD.tab.get(dj)
-				if !ok {
-					continue
-				}
-				md := mat.distAt(int(rowS[i]), int(colD[j]))
-				if md == Infinite {
-					continue
-				}
-				if total := ds + md + dd; total < best {
-					best = total
-					bestPair = [2]model.DoorID{di, dj}
-				}
-			}
+	// Both children's access-door positions among the LCA matrix
+	// rows/columns are precomputed — the pairing loop is positional.
+	rowS := t.pk.adPosInParent[ns]
+	colD := t.pk.adPosInParent[nt]
+	for i, di := range t.nodes[ns].AccessDoors {
+		if rowS[i] < 0 {
+			continue
 		}
-		return best, sdS, sdD, bestPair
-	}
-	for _, di := range t.nodes[ns].AccessDoors {
 		ds, ok := sdS.tab.get(di)
 		if !ok {
 			continue
 		}
-		for _, dj := range t.nodes[nt].AccessDoors {
+		for j, dj := range t.nodes[nt].AccessDoors {
+			if colD[j] < 0 {
+				continue
+			}
 			dd, ok := sdD.tab.get(dj)
 			if !ok {
 				continue
 			}
-			md := mat.Dist(di, dj)
+			md := mat.distAt(int(rowS[i]), int(colD[j]))
 			if md == Infinite {
 				continue
 			}

@@ -119,22 +119,16 @@ type ObjectIndexState struct {
 }
 
 // ExportState exports the built state of the IP-Tree. To keep exporting
-// large trees cheap, the returned state aliases the tree's internal arrays
-// (matrices, door lists) where the on-disk form matches the in-memory one:
-// treat it as read-only and encode it immediately. Next-hop arrays are the
-// exception — in memory they are positional int32 ordinals into the matrix
-// door sets (matrix.go), so export expands them back into the global door
-// IDs the snapshot format has always recorded, keeping payloads
-// byte-identical across the packed-layout change.
+// large trees cheap, the returned state aliases the tree's slabs (matrix
+// cells, door sets, superior doors) where the on-disk form matches the
+// in-memory one: treat it as read-only and encode it immediately. Next-hop
+// arrays are the exception — in memory they are positional int32 ordinals
+// into the matrix door sets (matrix.go), so export expands them back into
+// the global door IDs the snapshot format has always recorded.
 func (t *Tree) ExportState() *TreeState {
-	sup := t.superiorDoors
-	if t.pk != nil {
-		// Packed trees hold the superior doors in the doors slab; the
-		// payload's per-partition lists are views into it.
-		sup = make([][]model.DoorID, t.numSuperiorDoorSets())
-		for p := range sup {
-			sup[p] = t.pk.superiorDoorsOf(model.PartitionID(p))
-		}
+	sup := make([][]model.DoorID, t.numSuperiorDoorSets())
+	for p := range sup {
+		sup[p] = t.SuperiorDoors(model.PartitionID(p))
 	}
 	st := &TreeState{
 		MinDegree:            t.opts.MinDegree,
@@ -173,13 +167,9 @@ func (t *Tree) ExportState() *TreeState {
 // ExportState exports the built state of the VIP-Tree, including the
 // underlying IP-Tree. Like Tree.ExportState, the result partially aliases
 // the live index and must be treated as read-only. The per-door entries are
-// expanded from the VIP arena back into the per-door payload structs the
-// snapshot format has always recorded, byte-identical to what an unpacked
-// tree exports.
+// expanded from the VIP slabs into the per-door payload structs the
+// snapshot format records.
 func (vt *VIPTree) ExportState() *VIPState {
-	if vt.vpk == nil {
-		return vt.exportStateUnpacked()
-	}
 	pk := vt.vpk
 	numDoors := len(pk.nodesOff) - 1
 	st := &VIPState{
@@ -201,31 +191,6 @@ func (vt *VIPTree) ExportState() *VIPState {
 				out[j] = VIPEntry{Dist: pk.dist[off+j], Next: model.DoorID(pk.next[off+j])}
 			}
 			off += ads
-			ds.Entries[i] = out
-		}
-		st.Doors[d] = ds
-	}
-	return st
-}
-
-// exportStateUnpacked exports a VIP-Tree still in the transient per-door
-// form (pack_test.go only).
-func (vt *VIPTree) exportStateUnpacked() *VIPState {
-	st := &VIPState{
-		Tree:  vt.Tree.ExportState(),
-		Doors: make([]DoorVIPState, len(vt.entries)),
-	}
-	for d := range vt.entries {
-		de := &vt.entries[d]
-		ds := DoorVIPState{
-			Nodes:   de.nodes,
-			Entries: make([][]VIPEntry, len(de.perNode)),
-		}
-		for i, es := range de.perNode {
-			out := make([]VIPEntry, len(es))
-			for j, e := range es {
-				out[j] = VIPEntry{Dist: e.dist, Next: e.next}
-			}
 			ds.Entries[i] = out
 		}
 		st.Doors[d] = ds
@@ -302,9 +267,8 @@ func RestoreTree(v *model.Venue, st *TreeState) (*Tree, error) {
 			DisableSuperiorDoors: st.DisableSuperiorDoors,
 			NaiveMerge:           st.NaiveMerge,
 		},
-		root:          st.Root,
-		nodes:         make([]Node, numNodes),
-		superiorDoors: st.SuperiorDoors,
+		root:  st.Root,
+		nodes: make([]Node, numNodes),
 	}
 	for i := range st.Nodes {
 		ns := &st.Nodes[i]
@@ -380,7 +344,8 @@ func RestoreTree(v *model.Venue, st *TreeState) (*Tree, error) {
 	if err := t.restoreDerived(); err != nil {
 		return nil, err
 	}
-	t.pack()
+	leavesOfDoor, accessNodesOfDoor := t.indexDoors()
+	t.pack(leavesOfDoor, accessNodesOfDoor, st.SuperiorDoors)
 	return t, nil
 }
 
@@ -396,13 +361,20 @@ func RestoreVIPTree(v *model.Venue, st *VIPState) (*VIPTree, error) {
 	if len(st.Doors) != v.NumDoors() {
 		return nil, fmt.Errorf("iptree: restore: %d VIP door entries for %d doors", len(st.Doors), v.NumDoors())
 	}
-	entries := make([]doorEntries, len(st.Doors))
+	// The first pass runs every check and counts, so the slabs are
+	// allocated at their exact sizes before the second pass fills them.
+	pk := &vipPacked{
+		nodesOff: make([]int32, len(st.Doors)+1),
+		entryOff: make([]int32, len(st.Doors)+1),
+	}
+	numNodes, numEntries := 0, 0
 	for d := range st.Doors {
 		ds := &st.Doors[d]
+		pk.nodesOff[d] = int32(numNodes)
+		pk.entryOff[d] = int32(numEntries)
 		if len(ds.Entries) != len(ds.Nodes) {
 			return nil, fmt.Errorf("iptree: restore: door %d has %d entry sets for %d nodes", d, len(ds.Entries), len(ds.Nodes))
 		}
-		de := doorEntries{nodes: ds.Nodes, perNode: make([][]vipEntry, len(ds.Nodes))}
 		for i, n := range ds.Nodes {
 			if int(n) < 0 || int(n) >= len(t.nodes) {
 				return nil, fmt.Errorf("iptree: restore: door %d VIP node %d out of range", d, n)
@@ -411,21 +383,32 @@ func RestoreVIPTree(v *model.Venue, st *VIPState) (*VIPTree, error) {
 				return nil, fmt.Errorf("iptree: restore: door %d node %d has %d VIP entries for %d access doors",
 					d, n, len(ds.Entries[i]), len(t.nodes[n].AccessDoors))
 			}
-			es := make([]vipEntry, len(ds.Entries[i]))
 			for j, e := range ds.Entries[i] {
 				if e.Next != NoDoor && (int(e.Next) < 0 || int(e.Next) >= v.NumDoors()) {
 					return nil, fmt.Errorf("iptree: restore: door %d node %d VIP entry %d next door %d out of range",
 						d, n, j, e.Next)
 				}
-				es[j] = vipEntry{dist: e.Dist, next: e.Next}
 			}
-			de.perNode[i] = es
+			numEntries += len(ds.Entries[i])
 		}
-		entries[d] = de
+		numNodes += len(ds.Nodes)
 	}
-	vt := &VIPTree{Tree: t}
-	vt.packVIP(entries)
-	return vt, nil
+	pk.nodesOff[len(st.Doors)] = int32(numNodes)
+	pk.entryOff[len(st.Doors)] = int32(numEntries)
+	pk.nodes = make([]int32, 0, numNodes)
+	pk.dist = make([]float64, 0, numEntries)
+	pk.next = make([]int32, 0, numEntries)
+	for d := range st.Doors {
+		ds := &st.Doors[d]
+		for i, n := range ds.Nodes {
+			pk.nodes = append(pk.nodes, int32(n))
+			for _, e := range ds.Entries[i] {
+				pk.dist = append(pk.dist, e.Dist)
+				pk.next = append(pk.next, int32(e.Next))
+			}
+		}
+	}
+	return &VIPTree{Tree: t, vpk: pk}, nil
 }
 
 // RestoreObjectIndex reconstructs an object index over a restored tree from
@@ -579,10 +562,10 @@ func checkDoorIDs(doors []model.DoorID, numDoors int, what string) error {
 	return nil
 }
 
-// restoreDerived rebuilds the cheap lookup tables the builder derives from
-// the node array: leaf-of-partition, doors-of-leaf, leaves-of-door and the
-// per-door access bookkeeping. These are O(doors) scans — no graph searches —
-// and reproduce exactly the deterministic order the builder uses.
+// restoreDerived rebuilds leaf-of-partition and doors-of-leaf from the node
+// array, checking that the leaves partition the venue. These are O(doors)
+// scans — no graph searches — and reproduce exactly the deterministic order
+// construction uses; indexDoors derives the per-door tables from them.
 func (t *Tree) restoreDerived() error {
 	v := t.venue
 	numParts := v.NumPartitions()
@@ -602,45 +585,17 @@ func (t *Tree) restoreDerived() error {
 		if !n.IsLeaf() {
 			continue
 		}
-		doorSet := make(map[model.DoorID]bool)
 		for _, pid := range n.Partitions {
 			if t.leafOfPartition[pid] != invalidNode {
 				return fmt.Errorf("iptree: restore: partition %d covered by leaves %d and %d", pid, t.leafOfPartition[pid], n.ID)
 			}
 			t.leafOfPartition[pid] = n.ID
-			for _, d := range v.Partition(pid).Doors {
-				doorSet[d] = true
-			}
 		}
-		doors := make([]model.DoorID, 0, len(doorSet))
-		for d := range doorSet {
-			doors = append(doors, d)
-		}
-		sort.Slice(doors, func(i, j int) bool { return doors[i] < doors[j] })
-		t.doorsOfLeaf[n.ID] = doors
+		t.doorsOfLeaf[n.ID] = doorsOfPartitions(v, n.Partitions)
 	}
 	for p, leaf := range t.leafOfPartition {
 		if leaf == invalidNode {
 			return fmt.Errorf("iptree: restore: partition %d is covered by no leaf", p)
-		}
-	}
-	// Leaves are visited in ascending ID order, so the per-door lists are
-	// born sorted, matching the builder's order.
-	t.leavesOfDoor = make([][]NodeID, v.NumDoors())
-	for leaf, doors := range t.doorsOfLeaf {
-		for _, d := range doors {
-			t.leavesOfDoor[d] = append(t.leavesOfDoor[d], NodeID(leaf))
-		}
-	}
-	t.isLeafAccessDoor = make([]bool, v.NumDoors())
-	t.accessNodesOfDoor = make([][]NodeID, v.NumDoors())
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		for _, d := range n.AccessDoors {
-			if n.IsLeaf() {
-				t.isLeafAccessDoor[d] = true
-			}
-			t.accessNodesOfDoor[d] = append(t.accessNodesOfDoor[d], n.ID)
 		}
 	}
 	return nil

@@ -112,27 +112,18 @@ type Tree struct {
 
 	// leafOfPartition maps each partition to the leaf that contains it.
 	leafOfPartition []NodeID
-	// leavesOfDoor maps each door to the leaves containing it (one or two);
-	// nil once packed (pk.leavesOfDoor is the compressed form).
-	leavesOfDoor [][]NodeID
 	// doorsOfLeaf caches the set of doors of each leaf node, indexed by
 	// NodeID (empty for non-leaf nodes).
 	doorsOfLeaf [][]model.DoorID
 	// isLeafAccessDoor marks doors that are access doors of at least one
 	// leaf node; Algorithm 4 relies on this set when decomposing edges.
 	isLeafAccessDoor []bool
-	// accessNodesOfDoor lists, for each door d, the nodes N with d ∈ AD(N);
-	// nil once packed (pk.accessNodesOfDoor is the compressed form).
-	accessNodesOfDoor [][]NodeID
-	// superiorDoors maps each partition to its superior doors
-	// (Definition 2); the remaining doors of the partition are inferior.
-	superiorDoors [][]model.DoorID
 
-	// pk is the arena-packed serving layout (arena.go): contiguous slabs
-	// holding every matrix and door set plus the positional lookup tables
-	// the query hot paths index instead of binary-searching. It is built by
-	// pack() at the end of construction and restore; nil only for the
-	// unpacked intermediate state (exercised directly by pack_test.go).
+	// pk is the arena layout (arena.go): contiguous slabs holding every
+	// matrix and door set, the per-door node lists and the superior doors
+	// (Definition 2) of every partition, plus the positional lookup tables
+	// the query hot paths index instead of binary-searching. pack() builds
+	// it at the end of construction and restore.
 	pk *packed
 
 	// distPool recycles per-query scratch (dense door tables), keeping the
@@ -184,18 +175,6 @@ func (t *Tree) BuildTimings() BuildTimings { return t.timings }
 // arena-packed (arena.go): its matrices and door sets live in per-tree
 // contiguous slabs, frozen for serving.
 func BuildIPTree(v *model.Venue, opts Options) (*Tree, error) {
-	t, err := buildIPTreeUnpacked(v, opts)
-	if err != nil {
-		return nil, err
-	}
-	t.pack()
-	return t, nil
-}
-
-// buildIPTreeUnpacked runs the four construction phases without the final
-// pack() step. It exists so the packing property tests can hold on to the
-// pre-pack state; every public constructor packs.
-func buildIPTreeUnpacked(v *model.Venue, opts Options) (*Tree, error) {
 	if v == nil || v.NumPartitions() == 0 {
 		return nil, fmt.Errorf("iptree: venue is empty")
 	}
@@ -205,13 +184,15 @@ func buildIPTreeUnpacked(v *model.Venue, opts Options) (*Tree, error) {
 	t.timings.Leaves = time.Since(phase)
 	phase = time.Now()
 	t.buildHierarchy()
+	leavesOfDoor, accessNodesOfDoor := t.indexDoors()
 	t.timings.Hierarchy = time.Since(phase)
 	phase = time.Now()
-	t.buildLeafMatrices()
+	superiorDoors := t.buildLeafMatrices()
 	t.timings.LeafMatrices = time.Since(phase)
 	phase = time.Now()
 	t.buildNonLeafMatrices()
 	t.timings.NonLeafMatrices = time.Since(phase)
+	t.pack(leavesOfDoor, accessNodesOfDoor, superiorDoors)
 	return t, nil
 }
 
@@ -259,29 +240,8 @@ func (t *Tree) Leaf(p model.PartitionID) NodeID { return t.leafOfPartition[p] }
 // LeafOfLocation returns the leaf node containing the location's partition.
 func (t *Tree) LeafOfLocation(l model.Location) NodeID { return t.Leaf(l.Partition) }
 
-// LeavesOfDoor returns the leaves whose partitions include door d (one or
-// two leaves, since a door connects at most two partitions). On a packed
-// tree the list is materialised from the compressed per-door table; hot
-// paths iterate the table directly instead.
-func (t *Tree) LeavesOfDoor(d model.DoorID) []NodeID {
-	if t.pk != nil {
-		vs := t.pk.leavesOfDoor.of(d)
-		out := make([]NodeID, len(vs))
-		for i, v := range vs {
-			out[i] = NodeID(v)
-		}
-		return out
-	}
-	return t.leavesOfDoor[d]
-}
-
 // doorIsAccess reports whether door d is an access door of at least one node.
-func (t *Tree) doorIsAccess(d model.DoorID) bool {
-	if t.pk != nil {
-		return !t.pk.accessNodesOfDoor.empty(d)
-	}
-	return len(t.accessNodesOfDoor[d]) > 0
-}
+func (t *Tree) doorIsAccess(d model.DoorID) bool { return !t.pk.accessNodesOfDoor.empty(d) }
 
 // DoorsOfLeaf returns all doors belonging to the partitions of leaf n, or
 // nil for non-leaf nodes.
@@ -292,23 +252,13 @@ func (t *Tree) DoorsOfLeaf(n NodeID) []model.DoorID {
 	return t.doorsOfLeaf[n]
 }
 
-// SuperiorDoors returns the superior doors of partition p (Definition 2).
-// On a packed tree the list is a view of the doors slab.
-func (t *Tree) SuperiorDoors(p model.PartitionID) []model.DoorID {
-	if t.pk != nil {
-		return t.pk.superiorDoorsOf(p)
-	}
-	return t.superiorDoors[p]
-}
+// SuperiorDoors returns the superior doors of partition p (Definition 2) as
+// a view of the doors slab.
+func (t *Tree) SuperiorDoors(p model.PartitionID) []model.DoorID { return t.pk.superiorDoorsOf(p) }
 
 // numSuperiorDoorSets returns the number of per-partition superior-door
-// lists, independent of packing.
-func (t *Tree) numSuperiorDoorSets() int {
-	if t.pk != nil {
-		return len(t.pk.supDoorOff) - 1
-	}
-	return len(t.superiorDoors)
-}
+// lists.
+func (t *Tree) numSuperiorDoorSets() int { return len(t.pk.supDoorOff) - 1 }
 
 // IsAncestor reports whether a is an ancestor of (or equal to) n.
 func (t *Tree) IsAncestor(a, n NodeID) bool {
@@ -383,17 +333,11 @@ func (t *Tree) TreeStats() Stats {
 			totalChildren += len(n.Children)
 		}
 		if n.Matrix != nil {
-			if t.pk != nil {
-				s.MatrixBytes += sizeofMatrixStruct
-			} else {
-				s.MatrixBytes += n.Matrix.memoryBytes()
-			}
+			s.MatrixBytes += sizeofMatrixStruct
 		}
 	}
-	if t.pk != nil {
-		// The cells of every matrix live in the shared arenas.
-		s.MatrixBytes += int64(len(t.pk.dist))*8 + int64(len(t.pk.next))*4
-	}
+	// The cells of every matrix live in the shared arenas.
+	s.MatrixBytes += int64(len(t.pk.dist))*8 + int64(len(t.pk.next))*4
 	if len(t.nodes) > 0 {
 		s.AvgAccessDoors = float64(totalAD) / float64(len(t.nodes))
 	}
@@ -415,53 +359,24 @@ func (t *Tree) TreeStats() Stats {
 	return s
 }
 
-// MemoryBytes reports the memory consumed by the tree's structures. For a
-// packed tree (the only state public constructors produce) the number is
-// arena-exact: the four slabs are measured by length, and everything that
-// views them — matrices, access-door lists, leaf door sets, superior doors —
+// MemoryBytes reports the memory consumed by the tree's structures,
+// arena-exact: the slabs are measured by length, and everything that views
+// them — matrices, access-door lists, leaf door sets, superior doors —
 // contributes only its slice headers. The D2D graph is shared with the venue
 // and not counted.
 func (t *Tree) MemoryBytes() int64 {
-	var total int64
-	if t.pk != nil {
-		total += t.pk.arenaBytes()
-	}
+	total := t.pk.arenaBytes()
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		total += int64(len(n.Children))*sizeofNodeID + int64(len(n.Partitions))*sizeofInt + sizeofNodeStruct
 		if n.Matrix != nil {
-			if t.pk != nil {
-				// Cells, door sets and sorted-alias indexes live in the slabs;
-				// only the struct (views + index headers) is per-node.
-				total += sizeofMatrixStruct
-			} else {
-				total += n.Matrix.memoryBytes()
-			}
+			// Cells, door sets and sorted-alias indexes live in the slabs;
+			// only the struct (views + index headers) is per-node.
+			total += sizeofMatrixStruct
 		}
 	}
-	if t.pk == nil {
-		for i := range t.nodes {
-			total += int64(len(t.nodes[i].AccessDoors)) * sizeofDoorID
-		}
-		for _, ds := range t.doorsOfLeaf {
-			total += int64(len(ds)) * sizeofDoorID
-		}
-		for p := range t.superiorDoors {
-			total += int64(len(t.superiorDoors[p])) * sizeofDoorID
-		}
-	}
-	total += int64(len(t.doorsOfLeaf)+len(t.superiorDoors)) * sizeofSliceHeader
+	total += int64(len(t.doorsOfLeaf)) * sizeofSliceHeader
 	total += int64(len(t.leafOfPartition)) * sizeofNodeID
-	if t.pk == nil {
-		// Packed trees hold these as CSR slabs, counted in arenaBytes.
-		total += int64(len(t.leavesOfDoor)+len(t.accessNodesOfDoor)) * sizeofSliceHeader
-		for d := range t.leavesOfDoor {
-			total += int64(len(t.leavesOfDoor[d])) * sizeofNodeID
-		}
-		for d := range t.accessNodesOfDoor {
-			total += int64(len(t.accessNodesOfDoor[d])) * sizeofNodeID
-		}
-	}
 	total += int64(len(t.isLeafAccessDoor))
 	return total
 }

@@ -13,45 +13,14 @@ import (
 // leaves containing that door. Shortest-distance queries then cost O(ρ²)
 // because the upward climb of Algorithm 2 is replaced by direct lookups.
 
-// vipEntry is the materialised information for one (door, ancestor access
-// door) pair: the shortest distance and the first door on that shortest path
-// (NoDoor if the path contains no other door).
-type vipEntry struct {
-	dist float64
-	next model.DoorID
-}
-
-// doorEntries holds the materialised ancestor information of a single door:
-// for each ancestor node (of a leaf containing the door), one vipEntry per
-// access door of that node, aligned with Node.AccessDoors. The node list is
-// short (O(height)), so lookups scan it linearly without allocating.
-type doorEntries struct {
-	nodes   []NodeID
-	perNode [][]vipEntry
-}
-
-// forNode returns the entries for the given ancestor node, or nil.
-func (de *doorEntries) forNode(n NodeID) []vipEntry {
-	for i, id := range de.nodes {
-		if id == n {
-			return de.perNode[i]
-		}
-	}
-	return nil
-}
-
 // VIPTree is a VIP-Tree: an IP-Tree plus the per-door materialised distances.
 type VIPTree struct {
 	*Tree
-	// vpk is the arena form of the per-door materialised entries (arena.go):
-	// one int32 slab of ancestor node lists, one float64 slab of distances
-	// and one int32 slab of first-door IDs, indexed by per-door offsets. It
-	// is the only representation public constructors leave behind.
+	// vpk holds the per-door materialised entries (arena.go): one int32 slab
+	// of ancestor node lists, one float64 slab of distances and one int32
+	// slab of first-door IDs, indexed by per-door offsets. Materialisation
+	// and snapshot restore write straight into it.
 	vpk *vipPacked
-	// entries[d] holds the materialised ancestor entries of door d in the
-	// transient per-door form; non-nil only on the unpacked intermediate
-	// state (exercised directly by pack_test.go).
-	entries []doorEntries
 	// vipPool recycles per-query scratch, keeping the warm Distance path
 	// allocation-free and safe for concurrent callers.
 	vipPool sync.Pool
@@ -76,24 +45,15 @@ func MustBuildVIPTree(v *model.Venue, opts Options) *VIPTree {
 }
 
 // NewVIPTree materialises the per-door ancestor distances on top of an
-// existing IP-Tree. The IP-Tree is shared, not copied. Every door's entries
-// depend only on the (read-only) tree, so the per-door loop fans out over a
-// worker pool (Options.Parallelism) with bit-identical results at any
-// parallelism. The materialised tables are frozen into the VIP arena
-// (arena.go) before the tree is returned.
+// existing IP-Tree. The IP-Tree is shared, not copied. The VIP slabs are
+// sized from the topology first; every door's entries then depend only on
+// the (read-only) tree and fill a block no other door touches, so the
+// per-door loop fans out over a worker pool (Options.Parallelism) with
+// bit-identical results at any parallelism.
 func NewVIPTree(t *Tree) *VIPTree {
-	vt := newVIPTreeUnpacked(t)
-	vt.packVIP(vt.entries)
-	vt.entries = nil
-	return vt
-}
-
-// newVIPTreeUnpacked materialises the per-door tables without the final
-// packVIP step; it exists for the packing property tests.
-func newVIPTreeUnpacked(t *Tree) *VIPTree {
 	start := time.Now()
 	numDoors := t.venue.NumDoors()
-	vt := &VIPTree{Tree: t, entries: make([]doorEntries, numDoors)}
+	vt := &VIPTree{Tree: t, vpk: t.newVIPPacked()}
 	workers := min(t.opts.workers(), numDoors)
 	scratches := make([]vipScratchBuild, max(workers, 1))
 	runParallel(numDoors, workers, func(w, i int) {
@@ -108,61 +68,46 @@ func (vt *VIPTree) Name() string { return "VIP-Tree" }
 
 // materialiseDoor computes the VIP entries of a single door by climbing the
 // tree from every leaf containing it, exactly like Algorithm 2 but with the
-// door itself as the source. The distance/via working set is the worker's
-// dense epoch-stamped door table (no per-door maps); only the flattened
-// per-door entry slices consumed by the query hot path are allocated.
+// door itself as the source, and writes them into the door's block of the
+// VIP slabs. The climb visits the door's node list, which is already in
+// (level, ID) order, so children are handled before parents. The
+// distance/via working set is the worker's dense epoch-stamped door table,
+// and the entries go straight into the slabs.
 func (vt *VIPTree) materialiseDoor(d model.DoorID, sc *vipScratchBuild) {
 	t := vt.Tree
-	sc.reset(t.venue.NumDoors(), len(t.nodes))
+	sc.reset(t.venue.NumDoors())
 	tab := &sc.tab
 
-	seedLeaf := func(leaf NodeID) {
-		// Seed with the leaf matrix distances from d to the leaf's access
-		// doors (d is a row of every matrix of a leaf containing it, so its
-		// row position is resolved once and the columns swept positionally).
+	// Seed with the leaf matrix distances from d to each leaf's access doors
+	// (d is a row of every matrix of a leaf containing it, so its row
+	// position is resolved once and the columns swept positionally).
+	for _, leaf := range t.pk.leavesOfDoor.of(d) {
 		mat := t.nodes[leaf].Matrix
-		if ri, ok := mat.rowIndexOf(d); ok {
-			for _, a := range t.nodes[leaf].AccessDoors {
-				ci, ok := mat.colIndexOf(a)
-				if !ok {
-					continue
-				}
-				md := mat.distAt(ri, ci)
-				if md == Infinite {
-					continue
-				}
-				if cur, ok := tab.get(a); !ok || md < cur {
-					if a == d {
-						tab.set(a, md, NoDoor)
-					} else {
-						tab.set(a, md, d)
-					}
+		ri, ok := mat.rowIndexOf(d)
+		if !ok {
+			continue
+		}
+		for _, a := range t.nodes[leaf].AccessDoors {
+			ci, ok := mat.colIndexOf(a)
+			if !ok {
+				continue
+			}
+			md := mat.distAt(ri, ci)
+			if md == Infinite {
+				continue
+			}
+			if cur, ok := tab.get(a); !ok || md < cur {
+				if a == d {
+					tab.set(a, md, NoDoor)
+				} else {
+					tab.set(a, md, d)
 				}
 			}
 		}
-		for cur := leaf; cur != invalidNode; cur = t.nodes[cur].Parent {
-			sc.climb = append(sc.climb, cur)
-		}
 	}
-	if t.pk != nil {
-		for _, leaf := range t.pk.leavesOfDoor.of(d) {
-			seedLeaf(NodeID(leaf))
-		}
-	} else {
-		for _, leaf := range t.leavesOfDoor[d] {
-			seedLeaf(leaf)
-		}
-	}
-	// Propagate upwards along every climb path (deduplicating nodes).
-	for _, n := range sc.climb {
-		if !sc.nodeSeen.has(int(n)) {
-			sc.nodeSeen.mark(int(n))
-			sc.order = append(sc.order, n)
-		}
-	}
-	// Process in increasing level so children are handled before parents.
-	sortNodesByLevel(t, sc.order)
-	for _, n := range sc.order {
+	pk := vt.vpk
+	nodes := pk.nodes[pk.nodesOff[d]:pk.nodesOff[d+1]]
+	for _, n := range nodes {
 		node := &t.nodes[n]
 		if node.IsLeaf() {
 			continue
@@ -213,41 +158,20 @@ func (vt *VIPTree) materialiseDoor(d model.DoorID, sc *vipScratchBuild) {
 			}
 		}
 	}
-	// Record entries for every ancestor node: distance plus the literal
-	// first door on the path (computed by decomposing the first hop of the
-	// via chain).
-	de := doorEntries{
-		nodes:   make([]NodeID, 0, len(sc.order)),
-		perNode: make([][]vipEntry, 0, len(sc.order)),
-	}
-	for _, n := range sc.order {
-		node := &t.nodes[n]
-		es := make([]vipEntry, len(node.AccessDoors))
-		for i, a := range node.AccessDoors {
-			dv, ok := tab.get(a)
-			if !ok {
-				es[i] = vipEntry{dist: Infinite, next: NoDoor}
-				continue
-			}
-			es[i] = vipEntry{dist: dv, next: vt.firstDoorOnPath(d, a, tab)}
-		}
-		de.nodes = append(de.nodes, n)
-		de.perNode = append(de.perNode, es)
-	}
-	vt.entries[d] = de
-}
-
-// sortNodesByLevel orders node IDs by increasing level (stable by ID).
-func sortNodesByLevel(t *Tree, nodes []NodeID) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0; j-- {
-			a, b := nodes[j-1], nodes[j]
-			if t.nodes[a].Level > t.nodes[b].Level ||
-				(t.nodes[a].Level == t.nodes[b].Level && a > b) {
-				nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
+	// Record an entry for every access door of every ancestor node: distance
+	// plus the literal first door on the path (computed by decomposing the
+	// first hop of the via chain).
+	off := pk.entryOff[d]
+	for _, n := range nodes {
+		for _, a := range t.nodes[n].AccessDoors {
+			if dv, ok := tab.get(a); ok {
+				pk.dist[off] = dv
+				pk.next[off] = int32(vt.firstDoorOnPath(d, a, tab))
 			} else {
-				break
+				pk.dist[off] = Infinite
+				pk.next[off] = int32(NoDoor)
 			}
+			off++
 		}
 	}
 }
@@ -311,14 +235,6 @@ func (vt *VIPTree) firstDoorOfEdge(a, b model.DoorID, budget int) model.DoorID {
 	return b
 }
 
-// entriesFor returns the materialised entries of door d towards the access
-// doors of `node` (aligned with Node.AccessDoors), or nil when the node is
-// not an ancestor of a leaf containing d. Unpacked trees only; the packed
-// hot paths use entriesOffset.
-func (vt *VIPTree) entriesFor(d model.DoorID, node NodeID) []vipEntry {
-	return vt.entries[d].forNode(node)
-}
-
 // entriesOffset returns the slab offset of the materialised entries of door
 // d towards the access doors of `node` (the block vpk.dist[off:off+|AD|],
 // aligned with Node.AccessDoors), walking the door's short ancestor list.
@@ -332,23 +248,6 @@ func (vt *VIPTree) entriesOffset(d model.DoorID, node NodeID) (int, bool) {
 		off += len(vt.nodes[id].AccessDoors)
 	}
 	return 0, false
-}
-
-// entryFor returns the materialised entry for door d towards the access door
-// at position ti of `node`'s access doors, if present.
-func (vt *VIPTree) entryFor(d model.DoorID, node NodeID, ti int) (vipEntry, bool) {
-	if vt.vpk != nil {
-		off, ok := vt.entriesOffset(d, node)
-		if !ok {
-			return vipEntry{}, false
-		}
-		return vipEntry{dist: vt.vpk.dist[off+ti], next: model.DoorID(vt.vpk.next[off+ti])}, true
-	}
-	es := vt.entriesFor(d, node)
-	if es == nil {
-		return vipEntry{}, false
-	}
-	return es[ti], true
 }
 
 // Distance implements the VIP-Tree shortest-distance query (Section 3.1.2):
@@ -399,47 +298,22 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 	mat := t.nodes[lca].Matrix
 	res := vipResult{dist: Infinite, cross: true, nodeS: ns, nodeD: nt,
 		pair: [2]model.DoorID{NoDoor, NoDoor}, supS: NoDoor, supD: NoDoor}
-	if t.pk != nil {
-		// Packed: the positions of both children's access doors among the
-		// LCA matrix rows/columns are precomputed, so the double loop sweeps
-		// the matrix slab positionally — no door lookups.
-		rowS := t.pk.adPosInParent[ns]
-		colD := t.pk.adPosInParent[nt]
-		for i, di := range sc.s.doors {
-			ds := sc.s.dist[i]
-			if ds == Infinite || rowS[i] < 0 {
-				continue
-			}
-			for j, dj := range sc.d.doors {
-				dd := sc.d.dist[j]
-				if dd == Infinite || colD[j] < 0 {
-					continue
-				}
-				md := mat.distAt(int(rowS[i]), int(colD[j]))
-				if md == Infinite {
-					continue
-				}
-				if total := ds + md + dd; total < res.dist {
-					res.dist = total
-					res.pair = [2]model.DoorID{di, dj}
-					res.supS = sc.s.via[i]
-					res.supD = sc.d.via[j]
-				}
-			}
-		}
-		return res
-	}
+	// The positions of both children's access doors among the LCA matrix
+	// rows/columns are precomputed, so the double loop sweeps the matrix
+	// slab positionally — no door lookups.
+	rowS := t.pk.adPosInParent[ns]
+	colD := t.pk.adPosInParent[nt]
 	for i, di := range sc.s.doors {
 		ds := sc.s.dist[i]
-		if ds == Infinite {
+		if ds == Infinite || rowS[i] < 0 {
 			continue
 		}
 		for j, dj := range sc.d.doors {
 			dd := sc.d.dist[j]
-			if dd == Infinite {
+			if dd == Infinite || colD[j] < 0 {
 				continue
 			}
-			md := mat.Dist(di, dj)
+			md := mat.distAt(int(rowS[i]), int(colD[j]))
 			if md == Infinite {
 				continue
 			}
@@ -470,45 +344,19 @@ func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, side *vipSide)
 		side.dist[i] = Infinite
 		side.via[i] = NoDoor
 	}
-	sup := t.SuperiorDoors(loc.Partition)
-	if vt.vpk != nil {
-		// Packed: each superior door's entry block for this node is one
-		// contiguous stretch of the distance slab, scanned sequentially.
-		dists := vt.vpk.dist
-		for _, sdoor := range sup {
-			base := v.DistToDoor(loc, sdoor)
-			off, hasEntries := vt.entriesOffset(sdoor, node)
-			for i, a := range ads {
-				var md float64
-				switch {
-				case sdoor == a:
-					md = 0
-				case hasEntries:
-					md = dists[off+i]
-				default:
-					md = Infinite
-				}
-				if md == Infinite {
-					continue
-				}
-				if base+md < side.dist[i] {
-					side.dist[i] = base + md
-					side.via[i] = sdoor
-				}
-			}
-		}
-		return
-	}
-	for _, sdoor := range sup {
+	// Each superior door's entry block for this node is one contiguous
+	// stretch of the distance slab, scanned sequentially.
+	dists := vt.vpk.dist
+	for _, sdoor := range t.SuperiorDoors(loc.Partition) {
 		base := v.DistToDoor(loc, sdoor)
-		es := vt.entriesFor(sdoor, node)
+		off, hasEntries := vt.entriesOffset(sdoor, node)
 		for i, a := range ads {
 			var md float64
 			switch {
 			case sdoor == a:
 				md = 0
-			case es != nil:
-				md = es[i].dist
+			case hasEntries:
+				md = dists[off+i]
 			default:
 				md = Infinite
 			}
@@ -535,42 +383,17 @@ func (vt *VIPTree) sideDistsOnly(loc model.Location, node NodeID, dist []float64
 	for i := range dist {
 		dist[i] = Infinite
 	}
-	sup := t.SuperiorDoors(loc.Partition)
-	if vt.vpk != nil {
-		dists := vt.vpk.dist
-		for _, sdoor := range sup {
-			base := v.DistToDoor(loc, sdoor)
-			off, hasEntries := vt.entriesOffset(sdoor, node)
-			for i, a := range ads {
-				var md float64
-				switch {
-				case sdoor == a:
-					md = 0
-				case hasEntries:
-					md = dists[off+i]
-				default:
-					md = Infinite
-				}
-				if md == Infinite {
-					continue
-				}
-				if base+md < dist[i] {
-					dist[i] = base + md
-				}
-			}
-		}
-		return
-	}
-	for _, sdoor := range sup {
+	dists := vt.vpk.dist
+	for _, sdoor := range t.SuperiorDoors(loc.Partition) {
 		base := v.DistToDoor(loc, sdoor)
-		es := vt.entriesFor(sdoor, node)
+		off, hasEntries := vt.entriesOffset(sdoor, node)
 		for i, a := range ads {
 			var md float64
 			switch {
 			case sdoor == a:
 				md = 0
-			case es != nil:
-				md = es[i].dist
+			case hasEntries:
+				md = dists[off+i]
 			default:
 				md = Infinite
 			}
@@ -626,8 +449,8 @@ func (vt *VIPTree) Path(s, d model.Location) (float64, []model.DoorID) {
 // to access door `target` of ancestor node `node` (inclusive of both ends)
 // to buf, by repeatedly following the materialised next-hop doors. The
 // target's position among the node's access doors is resolved once up
-// front, so on a packed tree every hop is a direct read of the door's entry
-// block — no per-step scan of the access-door list. Missing entries fall
+// front, so every hop is a direct read of the door's entry block — no
+// per-step scan of the access-door list. Missing entries fall
 // back to Algorithm 4.
 func (vt *VIPTree) expandToAncestorDoorInto(from model.DoorID, node NodeID, target model.DoorID, buf []model.DoorID, ps *pathScratch) []model.DoorID {
 	t := vt.Tree
@@ -641,17 +464,16 @@ func (vt *VIPTree) expandToAncestorDoorInto(from model.DoorID, node NodeID, targ
 	buf = append(buf, from)
 	cur := from
 	for step := 0; cur != target && step < maxDecompose; step++ {
-		var e vipEntry
-		ok := ti >= 0
+		off, ok := 0, ti >= 0
 		if ok {
-			e, ok = vt.entryFor(cur, node, ti)
+			off, ok = vt.entriesOffset(cur, node)
 		}
 		if !ok {
 			// The current door has no materialised entry for this ancestor
 			// (the path strayed outside the node); finish with Algorithm 4.
 			return t.expandEdgeInto(cur, target, buf, ps)
 		}
-		next := e.next
+		next := model.DoorID(vt.vpk.next[off+ti])
 		if next == NoDoor {
 			next = target
 		}
@@ -668,19 +490,7 @@ func (vt *VIPTree) expandToAncestorDoorInto(from model.DoorID, node NodeID, targ
 }
 
 // MemoryBytes reports the memory of the VIP-Tree: the underlying IP-Tree
-// plus the materialised per-door tables — arena-exact slab sizes when
-// packed, the per-door struct estimate otherwise.
+// plus the exact size of the VIP slabs.
 func (vt *VIPTree) MemoryBytes() int64 {
-	total := vt.Tree.MemoryBytes()
-	if vt.vpk != nil {
-		return total + vt.vpk.arenaBytes()
-	}
-	for d := range vt.entries {
-		de := &vt.entries[d]
-		total += int64(len(de.nodes))*sizeofNodeID + 2*sizeofSliceHeader
-		for _, es := range de.perNode {
-			total += int64(len(es))*int64(8+sizeofDoorID) + sizeofSliceHeader
-		}
-	}
-	return total
+	return vt.Tree.MemoryBytes() + vt.vpk.arenaBytes()
 }
