@@ -47,9 +47,7 @@
 // through the batched query planner (shared-climb execution over grouped
 // leaf pairs for distance, shared source climbs and the climb cache for
 // kNN/range), and the report adds the per-batch latency next to the
-// per-query quantiles. -no-planner keeps the same batching but disables the
-// planner (engine.Options.DisablePlanner), which is the honest baseline when
-// measuring what the planner buys.
+// per-query quantiles.
 //
 // With -workload zipf the query points are Zipf-skewed over per-partition
 // hot spots instead of uniform: a few hot sources dominate, so batched
@@ -104,7 +102,6 @@ func main() {
 		verify      = flag.Bool("verify", false, "cross-check every result against the exact D2D ground truth")
 		updateRatio = flag.Float64("update-ratio", 0, "fraction of operations that are object updates (moves) in [0,1); requires a mutable object index (ip/vip)")
 		batch       = flag.Int("batch", 0, "submit the workload in batches of this many queries (0 = one batch for the whole workload); each batch runs through the batched query planner")
-		noPlanner   = flag.Bool("no-planner", false, "disable the batched query planner (engine falls back to per-query execution inside ExecuteBatch)")
 		walDir      = flag.String("wal", "", "durable write-ahead log directory: recover any state a previous run left there, then log every object update (requires a mutable object index: ip, vip or a tree snapshot)")
 		walSync     = flag.String("wal-sync", "always", "wal fsync policy: always, rotate, or interval=<duration> (e.g. interval=50ms)")
 	)
@@ -116,8 +113,7 @@ func main() {
 				"answer against the exact ground truth. -update-ratio mixes object moves\n"+
 				"into the stream and reports QPS (reads) and UPS (updates) separately.\n"+
 				"-batch N submits the workload in batches of N queries through the\n"+
-				"batched query planner and reports batched throughput; -no-planner\n"+
-				"disables the planner for an apples-to-apples baseline. -wal DIR makes\n"+
+				"batched query planner and reports batched throughput. -wal DIR makes\n"+
 				"updates durable: the runner recovers DIR on startup and flushes it on\n"+
 				"shutdown (SIGINT/SIGTERM drain cleanly and exit 0).\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -186,7 +182,7 @@ func main() {
 	// Latency sampling is a fixed ring of atomic slots: recording is one
 	// clock read plus one slot write per operation, so the hot loop stays
 	// allocation-free even with percentiles enabled.
-	engOpts := engine.Options{Workers: *parallel, Objects: oq, LatencySampleSize: 1 << 14, DisablePlanner: *noPlanner}
+	engOpts := engine.Options{Workers: *parallel, Objects: oq, LatencySampleSize: 1 << 14}
 	var eng *engine.Engine
 	if *walDir != "" {
 		sync, err := parseSyncPolicy(*walSync)
@@ -418,9 +414,6 @@ func main() {
 	if *batch > 0 {
 		perBatch := total / time.Duration(nBatches)
 		mode = fmt.Sprintf(", batch=%d (%d batches, %v/batch)", *batch, nBatches, perBatch.Round(time.Microsecond))
-	}
-	if *noPlanner {
-		mode += ", planner off"
 	}
 	// Climb-cache hit rate of the measured run: only batched kNN/range
 	// execution touches the cache, so the line appears exactly when the

@@ -16,8 +16,8 @@ import (
 
 // This file drives the reproduction of every table and figure of the paper's
 // evaluation (Section 4). Each ExperimentX function returns a Table whose
-// rows mirror the series the paper plots; cmd/experiments prints them and
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// rows mirror the series the paper plots; cmd/experiments runs them and
+// prints the tables.
 
 // Table is a printable experiment result.
 type Table struct {

@@ -97,7 +97,7 @@ func (ec *execCtx) guard(fn func()) (perr *PanicError) {
 // what state it can poison. Results are positionally identical to
 // ExecuteBatch for every query that executes.
 func (e *Engine) ExecuteBatchContext(ctx context.Context, queries []Query) []Result {
-	return e.executeBatch(execCtx{ctx: ctx, safe: true}, queries, e.workers)
+	return e.executeBatch(execCtx{ctx: ctx, safe: true}, queries)
 }
 
 // executeOne runs one query of a batch under the batch's execution context.

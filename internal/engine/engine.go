@@ -156,12 +156,6 @@ type Options struct {
 	// no locking — so it is safe to leave on in serving processes; zero
 	// disables sampling entirely.
 	LatencySampleSize int
-	// DisablePlanner turns off the batched query planner: ExecuteBatch then
-	// always fans queries out individually, even when the index supports
-	// batched distance execution (index.DistanceBatcher). Results are
-	// identical either way; the switch exists for A/B measurement and as an
-	// escape hatch.
-	DisablePlanner bool
 	// WALDir enables the durable write-ahead log: every object update is
 	// persisted to segment files under this directory and recovered on the
 	// next start. Engines with a WAL must be built with Open (which runs
@@ -183,9 +177,9 @@ type Engine struct {
 	objects      index.ObjectQuerier
 	mutable      index.MutableObjectIndexer // nil when objects is immutable
 	logged       index.ChangeLogger         // nil when the querier has no update log
-	batcher      index.DistanceBatcher      // nil when the index has no batched path, or the planner is disabled
-	knnBatcher   index.KNNBatcher           // nil when the querier has no batched kNN path, or the planner is disabled
-	rangeBatcher index.RangeBatcher         // nil when the querier has no batched range path, or the planner is disabled
+	batcher      index.DistanceBatcher      // nil when the index has no batched distance path
+	knnBatcher   index.KNNBatcher           // nil when the querier has no batched kNN path
+	rangeBatcher index.RangeBatcher         // nil when the querier has no batched range path
 	cacheRep     index.ClimbCacheReporter   // nil when the querier reports no climb cache
 	workers      int
 	wal          *wal.WAL // nil for non-durable engines; set by Open
@@ -209,11 +203,9 @@ func New(idx index.Index, opts Options) *Engine {
 	mut, _ := opts.Objects.(index.MutableObjectIndexer)
 	logged, _ := opts.Objects.(index.ChangeLogger)
 	e := &Engine{idx: idx, objects: opts.Objects, mutable: mut, logged: logged, workers: w}
-	if !opts.DisablePlanner {
-		e.batcher, _ = idx.(index.DistanceBatcher)
-		e.knnBatcher, _ = opts.Objects.(index.KNNBatcher)
-		e.rangeBatcher, _ = opts.Objects.(index.RangeBatcher)
-	}
+	e.batcher, _ = idx.(index.DistanceBatcher)
+	e.knnBatcher, _ = opts.Objects.(index.KNNBatcher)
+	e.rangeBatcher, _ = opts.Objects.(index.RangeBatcher)
 	e.cacheRep, _ = opts.Objects.(index.ClimbCacheReporter)
 	if opts.LatencySampleSize > 0 {
 		e.lat = newLatencyRing(opts.LatencySampleSize)
@@ -361,53 +353,20 @@ func (e *Engine) execute(q Query) Result {
 }
 
 // ExecuteBatch runs every query and returns the results in query order,
-// fanning the work out over the engine's worker pool. Batches on a
-// batch-capable index (index.DistanceBatcher for distance queries,
-// index.KNNBatcher/RangeBatcher for object queries) are routed through the
-// batched query planner (planner.go), which shares climbs between queries;
-// updates mixed into a batch split it into maximal read runs that are still
-// planned around them. Engines built with Options.DisablePlanner execute
-// every query individually. Results are identical either way. It is safe to
-// call from multiple goroutines at once; each call uses its own pool.
+// fanning the work out over the engine's worker pool. The batch executes as
+// maximal runs of reads and of object updates, in batch order, so every read
+// sees exactly the updates that precede it in the batch. Within a read run,
+// the queries a batch-capable index can share work on
+// (index.DistanceBatcher for distance queries, index.KNNBatcher/RangeBatcher
+// for object queries) go through the batched query planner (planner.go),
+// which shares climbs between them; results are identical to per-query
+// Execute. It is safe to call from multiple goroutines at once; each call
+// uses its own pool.
 //
 // ExecuteBatch neither checks deadlines nor isolates panics — a serving
 // front-end should use ExecuteBatchContext, which does both.
 func (e *Engine) ExecuteBatch(queries []Query) []Result {
-	return e.executeBatch(execCtx{}, queries, e.workers)
-}
-
-// ExecuteBatchWorkers is ExecuteBatch with an explicit worker count
-// (1 executes the batch sequentially on the calling goroutine).
-func (e *Engine) ExecuteBatchWorkers(queries []Query, workers int) []Result {
-	return e.executeBatch(execCtx{}, queries, workers)
-}
-
-// executeBatch is the shared batch executor behind ExecuteBatch,
-// ExecuteBatchWorkers and ExecuteBatchContext.
-func (e *Engine) executeBatch(ec execCtx, queries []Query, workers int) []Result {
-	out := make([]Result, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = e.workers
-	}
-	if workers > len(queries) {
-		// Never run a pool wider than the batch: the excess goroutines would
-		// be spawned only to find the cursor exhausted.
-		workers = len(queries)
-	}
-	if e.planBatch(&ec, queries, out, workers) {
-		return out
-	}
-	// Work-stealing by atomic cursor: queries are cheap and uniform enough
-	// that a shared counter beats pre-chunking when latencies vary. The
-	// calling goroutine participates as a worker (runPooled), so workers==1
-	// is a plain sequential loop.
-	runPooled(len(queries), workers, func(i int) {
-		out[i] = e.executeOne(&ec, queries[i])
-	})
-	return out
+	return e.executeBatch(execCtx{}, queries)
 }
 
 // Stats reports the number of operations executed per kind since New: the

@@ -74,6 +74,12 @@ func engines(t testing.TB, v *model.Venue, objects []model.Location) map[string]
 	return out
 }
 
+// withWorkers returns an engine over eng's index and object querier with
+// the given batch worker count (1 runs every batch on the caller).
+func withWorkers(eng *engine.Engine, workers int) *engine.Engine {
+	return engine.New(eng.Index(), engine.Options{Workers: workers, Objects: eng.Objects()})
+}
+
 // TestParallelBatchMatchesSequential is the concurrent-correctness test: for
 // every index, executing a mixed batch over the worker pool must produce
 // exactly the results of sequential execution.
@@ -87,7 +93,7 @@ func TestParallelBatchMatchesSequential(t *testing.T) {
 	queries := mixedWorkload(v, 200, 11)
 	for name, eng := range engines(t, v, objects) {
 		t.Run(name, func(t *testing.T) {
-			sequential := eng.ExecuteBatchWorkers(queries, 1)
+			sequential := withWorkers(eng, 1).ExecuteBatch(queries)
 			parallel := eng.ExecuteBatch(queries)
 			if len(sequential) != len(parallel) {
 				t.Fatalf("result count mismatch: %d vs %d", len(sequential), len(parallel))
@@ -114,7 +120,7 @@ func TestConcurrentCallers(t *testing.T) {
 	}
 	eng := engine.New(vip, engine.Options{Objects: vip.IndexObjects(objects)})
 	queries := mixedWorkload(v, 64, 17)
-	want := eng.ExecuteBatchWorkers(queries, 1)
+	want := withWorkers(eng, 1).ExecuteBatch(queries)
 	var wg sync.WaitGroup
 	const callers = 8
 	errs := make(chan string, callers)

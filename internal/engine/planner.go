@@ -8,92 +8,49 @@ import (
 	"viptree/internal/index"
 )
 
-// This file implements the batched query planner. When the engine's index
-// supports batched queries (index.DistanceBatcher for distance queries —
-// the IP-Tree and VIP-Tree, which share leaf-to-LCA climbs across a batch —
-// and index.KNNBatcher/RangeBatcher for object queries, which share the
-// Algorithm-2 source climbs and the climb cache), ExecuteBatch routes the
-// batchable queries through the index-level batch calls instead of per-query
-// calls, and fans only the remaining reads over the worker pool. Results are
-// positionally identical to the unplanned path: the batch calls are
-// bit-identical to their per-query counterparts, and the other queries still
-// run through Execute.
+// This file implements the batch executor behind ExecuteBatch and
+// ExecuteBatchContext. Every batch is split into maximal runs of reads and
+// of object updates, and the runs execute in batch order: update runs fan
+// over the worker pool, read runs go through planReadRun. A read therefore
+// observes the object state after every update earlier in the batch and
+// before every update later in it.
 //
-// Batches containing object updates are split into maximal read runs: the
-// reads between two updates still plan, the updates execute with the legacy
-// interleaving (pooled within their own run). A read observes the object
-// state after every update of an earlier run and before every update of a
-// later one — at least as strong as the unplanned path, which interleaves
-// the whole batch arbitrarily.
+// Inside a read run, each kind with at least two queries and a batched index
+// entry point is answered as one segment: index.DistanceBatcher for distance
+// queries (the IP-Tree and VIP-Tree, which share leaf-to-LCA climbs across a
+// batch) and index.KNNBatcher/RangeBatcher for object queries (which share
+// the Algorithm-2 source climbs and the climb cache). The remaining reads fan
+// over the pool through Execute. The batch calls are bit-identical to their
+// per-query counterparts, so how a batch is split never changes an answer.
 
-// planBatch attempts the planned execution of a batch, writing results into
-// out. It returns false — having written nothing — when the batch does not
-// qualify: no batch-capable index, an unknown kind in the batch, or no run
-// with at least two batchable queries of one kind to amortise. The execution
-// context is honoured at segment granularity: a canceled context marks the
-// remaining segments' queries with the cancellation error, and in safe mode
-// a panicking segment yields *PanicError results for exactly its queries.
-func (e *Engine) planBatch(ec *execCtx, queries []Query, out []Result, workers int) bool {
-	if e.batcher == nil && e.knnBatcher == nil && e.rangeBatcher == nil {
-		return false
-	}
-	// One qualification pass: count batchable queries per read run, bailing
-	// on unknown kinds (the unplanned path reports ErrUnknownKind per
-	// query). A run qualifies when one kind has >= 2 queries to amortise
-	// and the index grants the capability.
-	plan := false
-	nDist, nKNN, nRange := 0, 0, 0
-	flush := func() {
-		if (e.batcher != nil && nDist >= 2) ||
-			(e.knnBatcher != nil && nKNN >= 2) ||
-			(e.rangeBatcher != nil && nRange >= 2) {
-			plan = true
-		}
-		nDist, nKNN, nRange = 0, 0, 0
-	}
-	for i := range queries {
-		switch queries[i].Kind {
-		case KindDistance:
-			nDist++
-		case KindKNN:
-			nKNN++
-		case KindRange:
-			nRange++
-		case KindPath:
-		case KindInsert, KindDelete, KindMove:
-			flush()
-		default:
-			return false
-		}
-	}
-	flush()
-	if !plan {
-		return false
-	}
-	// Execute the runs in order: planned read runs, pooled update runs.
+// executeBatch is the batch executor behind ExecuteBatch and
+// ExecuteBatchContext. The execution context is honoured per query and, for
+// batched segments, per segment: a canceled context marks the queries not
+// yet reached with the cancellation error, and in safe mode a panicking
+// query or segment yields *PanicError results for exactly its queries.
+func (e *Engine) executeBatch(ec execCtx, queries []Query) []Result {
+	out := make([]Result, len(queries))
 	lo := 0
-	for i := 0; i <= len(queries); i++ {
+	for i := 1; i <= len(queries); i++ {
 		if i < len(queries) && queries[i].Kind.IsUpdate() == queries[lo].Kind.IsUpdate() {
 			continue
 		}
 		if queries[lo].Kind.IsUpdate() {
-			runPooled(i-lo, workers, func(k int) {
-				out[lo+k] = e.executeOne(ec, queries[lo+k])
+			runPooled(i-lo, e.workers, func(k int) {
+				out[lo+k] = e.executeOne(&ec, queries[lo+k])
 			})
 		} else {
-			e.planReadRun(ec, queries[lo:i], out[lo:i], workers)
+			e.planReadRun(&ec, queries[lo:i], out[lo:i])
 		}
 		lo = i
 	}
-	return true
+	return out
 }
 
 // planReadRun executes one all-read run: the batchable segments (>= 2
 // queries of a kind with the matching capability) go through the index-level
-// batch calls, everything else through the pooled per-query path. With
-// latency sampling enabled, each batched segment records the amortised
-// per-query share of its duration — kNN and range exactly like distance.
-func (e *Engine) planReadRun(ec *execCtx, queries []Query, out []Result, workers int) {
+// batch calls, everything else through the pooled per-query path.
+func (e *Engine) planReadRun(ec *execCtx, queries []Query, out []Result) {
 	nDist, nKNN, nRange := 0, 0, 0
 	for i := range queries {
 		switch queries[i].Kind {
@@ -133,65 +90,49 @@ func (e *Engine) planReadRun(ec *execCtx, queries []Query, out []Result, workers
 			rest = append(rest, int32(i))
 		}
 	}
-	if batchDist {
-		start := e.latStart()
-		if ec.canceled() {
-			markAll(out, distPos, ec.cancelErr())
-		} else {
-			dists := make([]float64, len(pairs))
-			if perr := ec.guard(func() { e.batcher.DistanceBatch(pairs, dists, workers) }); perr != nil {
-				markAll(out, distPos, perr)
-			} else {
-				for k, i := range distPos {
-					out[i] = Result{Dist: dists[k]}
-				}
-				e.counts[KindDistance].Add(int64(len(pairs)))
-				e.batched[KindDistance].Add(int64(len(pairs)))
-				e.recordAmortised(start, len(pairs))
-			}
-		}
-	}
-	if batchKNN {
-		start := e.latStart()
-		if ec.canceled() {
-			markAll(out, knnPos, ec.cancelErr())
-		} else {
-			objs := make([][]index.ObjectResult, len(knns))
-			if perr := ec.guard(func() { e.knnBatcher.KNNBatch(knns, objs, workers) }); perr != nil {
-				markAll(out, knnPos, perr)
-			} else {
-				for k, i := range knnPos {
-					out[i] = Result{Objects: objs[k]}
-				}
-				e.counts[KindKNN].Add(int64(len(knns)))
-				e.batched[KindKNN].Add(int64(len(knns)))
-				e.recordAmortised(start, len(knns))
-			}
-		}
-	}
-	if batchRange {
-		start := e.latStart()
-		if ec.canceled() {
-			markAll(out, rangePos, ec.cancelErr())
-		} else {
-			objs := make([][]index.ObjectResult, len(ranges))
-			if perr := ec.guard(func() { e.rangeBatcher.RangeBatch(ranges, objs, workers) }); perr != nil {
-				markAll(out, rangePos, perr)
-			} else {
-				for k, i := range rangePos {
-					out[i] = Result{Objects: objs[k]}
-				}
-				e.counts[KindRange].Add(int64(len(ranges)))
-				e.batched[KindRange].Add(int64(len(ranges)))
-				e.recordAmortised(start, len(ranges))
-			}
-		}
-	}
-	runPooled(len(rest), workers, func(k int) {
+	runSegment(e, ec, KindDistance, distPos, out,
+		func(res []float64) { e.batcher.DistanceBatch(pairs, res, e.workers) },
+		func(d float64) Result { return Result{Dist: d} })
+	runSegment(e, ec, KindKNN, knnPos, out,
+		func(res [][]index.ObjectResult) { e.knnBatcher.KNNBatch(knns, res, e.workers) },
+		objectsResult)
+	runSegment(e, ec, KindRange, rangePos, out,
+		func(res [][]index.ObjectResult) { e.rangeBatcher.RangeBatch(ranges, res, e.workers) },
+		objectsResult)
+	runPooled(len(rest), e.workers, func(k int) {
 		i := rest[k]
 		out[i] = e.executeOne(ec, queries[i])
 	})
 }
+
+// runSegment answers the batched segment of one kind — the queries at
+// positions pos of the run — with one index-level batch call, which fills
+// one slot of res per query; wrap turns a slot into its Result. Cancellation
+// and panics act on the segment as a whole, and the per-kind counters and
+// the amortised latency samples advance only for a segment that executed.
+func runSegment[T any](e *Engine, ec *execCtx, kind Kind, pos []int32, out []Result, call func(res []T), wrap func(T) Result) {
+	if len(pos) == 0 {
+		return
+	}
+	start := e.latStart()
+	if ec.canceled() {
+		markAll(out, pos, ec.cancelErr())
+		return
+	}
+	res := make([]T, len(pos))
+	if perr := ec.guard(func() { call(res) }); perr != nil {
+		markAll(out, pos, perr)
+		return
+	}
+	for k, i := range pos {
+		out[i] = wrap(res[k])
+	}
+	e.counts[kind].Add(int64(len(pos)))
+	e.batched[kind].Add(int64(len(pos)))
+	e.recordAmortised(start, len(pos))
+}
+
+func objectsResult(objs []index.ObjectResult) Result { return Result{Objects: objs} }
 
 // markAll writes err into every result addressed by pos — the per-segment
 // outcome of a canceled or panicked batched index call. The per-kind

@@ -53,9 +53,8 @@ func plannerEngines(t testing.TB, v *model.Venue, objects []model.Location) map[
 
 // TestPlannedBatchMatchesExecute is the planner's central property: on the
 // batch-capable indexes, ExecuteBatch results are element-wise identical to
-// per-query Execute — for every worker count, and identical again to an
-// engine built with DisablePlanner. Runs on both a single building and a
-// multi-building campus (deep LCAs, many distinct leaves).
+// per-query Execute for every worker count. Runs on both a single building
+// and a multi-building campus (deep LCAs, many distinct leaves).
 func TestPlannedBatchMatchesExecute(t *testing.T) {
 	venues := map[string]*model.Venue{
 		"building": testVenue(t),
@@ -75,7 +74,7 @@ func TestPlannedBatchMatchesExecute(t *testing.T) {
 					want[i] = eng.Execute(queries[i])
 				}
 				for _, workers := range []int{1, 3, 16} {
-					got := eng.ExecuteBatchWorkers(queries, workers)
+					got := withWorkers(eng, workers).ExecuteBatch(queries)
 					for i := range want {
 						if !resultsEqual(want[i], got[i]) {
 							t.Fatalf("workers=%d query %d (%v): planned %+v != Execute %+v",
@@ -84,24 +83,6 @@ func TestPlannedBatchMatchesExecute(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestPlannerDisabledMatches pins the escape hatch: an engine built with
-// DisablePlanner produces results identical to the planned engine over the
-// same index.
-func TestPlannerDisabledMatches(t *testing.T) {
-	v := testVenue(t)
-	vip := iptree.MustBuildVIPTree(v, iptree.Options{})
-	on := engine.New(vip, engine.Options{Workers: 4})
-	off := engine.New(vip, engine.Options{Workers: 4, DisablePlanner: true})
-	queries := readWorkload(v, 150, 29)
-	a := on.ExecuteBatch(queries)
-	b := off.ExecuteBatch(queries)
-	for i := range a {
-		if !resultsEqual(a[i], b[i]) {
-			t.Fatalf("query %d (%v): planner %+v != DisablePlanner %+v", i, queries[i].Kind, a[i], b[i])
 		}
 	}
 }
@@ -220,9 +201,9 @@ func TestPlannerReadRunSplitting(t *testing.T) {
 	}
 }
 
-// TestPlannerSmallAndUnknownBatches pins the remaining fallback conditions:
-// a batch with fewer than two distance queries runs unplanned (but still
-// correctly), and an unknown kind surfaces ErrUnknownKind instead of
+// TestPlannerSmallAndUnknownBatches pins the per-query path inside a read
+// run: a lone distance query is answered by Execute (no segment to
+// amortise), and an unknown kind surfaces ErrUnknownKind instead of
 // derailing the batch.
 func TestPlannerSmallAndUnknownBatches(t *testing.T) {
 	v := testVenue(t)
@@ -285,29 +266,27 @@ func TestPlannerStatsAndLatency(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchWorkersEdgeCases is the regression test for the batch
+// TestExecuteBatchWorkerCountEdgeCases is the regression test for the batch
 // entry point itself: empty batches short-circuit, worker counts wider than
-// the batch are capped, and non-positive counts fall back to the engine
+// the batch are capped, and non-positive counts fall back to the GOMAXPROCS
 // default — all returning correct results.
-func TestExecuteBatchWorkersEdgeCases(t *testing.T) {
+func TestExecuteBatchWorkerCountEdgeCases(t *testing.T) {
 	v := testVenue(t)
 	vip := iptree.MustBuildVIPTree(v, iptree.Options{})
-	eng := engine.New(vip, engine.Options{Workers: 4})
-
-	if got := eng.ExecuteBatch(nil); got == nil || len(got) != 0 {
-		t.Fatalf("ExecuteBatch(nil) = %v, want empty non-nil", got)
-	}
-	if got := eng.ExecuteBatchWorkers([]engine.Query{}, 100); got == nil || len(got) != 0 {
-		t.Fatalf("ExecuteBatchWorkers(empty, 100) = %v, want empty non-nil", got)
-	}
-
 	queries := readWorkload(v, 3, 59)
+	ref := engine.New(vip, engine.Options{Workers: 1})
 	want := make([]engine.Result, len(queries))
 	for i := range queries {
-		want[i] = eng.Execute(queries[i])
+		want[i] = ref.Execute(queries[i])
 	}
 	for _, workers := range []int{-5, 0, 1, 2, 100} {
-		got := eng.ExecuteBatchWorkers(queries, workers)
+		eng := engine.New(vip, engine.Options{Workers: workers})
+		for _, empty := range [][]engine.Query{nil, {}} {
+			if got := eng.ExecuteBatch(empty); got == nil || len(got) != 0 {
+				t.Fatalf("workers=%d: ExecuteBatch(%v) = %v, want empty non-nil", workers, empty, got)
+			}
+		}
+		got := eng.ExecuteBatch(queries)
 		if len(got) != len(queries) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(queries))
 		}
@@ -316,6 +295,50 @@ func TestExecuteBatchWorkersEdgeCases(t *testing.T) {
 				t.Fatalf("workers=%d query %d: %+v != %+v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestBatchOrdersReadsAroundUpdates pins the ordering rule every batch
+// follows, including one with nothing to batch: runs of reads and of updates
+// execute in batch order. The batch alternates single moves of one object
+// with single kNN queries at its new location, so no run holds two queries
+// of one kind; on a pooled engine each kNN must still see the move before
+// it, exactly as per-query Execute in batch order on a twin engine does.
+func TestBatchOrdersReadsAroundUpdates(t *testing.T) {
+	v := testVenue(t)
+	vip := iptree.MustBuildVIPTree(v, iptree.Options{})
+	rng := rand.New(rand.NewSource(89))
+	objects := make([]model.Location, 12)
+	for i := range objects {
+		objects[i] = v.RandomLocation(rng)
+	}
+	eng := engine.New(vip, engine.Options{Workers: 4, Objects: vip.IndexObjects(objects)})
+	twin := engine.New(vip, engine.Options{Workers: 1, Objects: vip.IndexObjects(objects)})
+
+	var queries []engine.Query
+	for i := 0; i < 16; i++ {
+		loc := v.RandomLocation(rng)
+		queries = append(queries,
+			engine.Query{Kind: engine.KindMove, ObjectID: 0, S: loc},
+			engine.Query{Kind: engine.KindKNN, S: loc, K: 1},
+		)
+	}
+	want := make([]engine.Result, len(queries))
+	for i, q := range queries {
+		want[i] = twin.Execute(q)
+	}
+	got := eng.ExecuteBatch(queries)
+	for i := range want {
+		if !resultsEqual(got[i], want[i]) {
+			t.Fatalf("query %d (%v): batch %+v != sequential %+v", i, queries[i].Kind, got[i], want[i])
+		}
+		// Object 0 sits at the kNN point and wins every tie on its ID.
+		if queries[i].Kind == engine.KindKNN && (len(got[i].Objects) != 1 || got[i].Objects[0].ObjectID != 0) {
+			t.Fatalf("query %d: kNN at the moved object's location = %+v, want object 0", i, got[i].Objects)
+		}
+	}
+	if st := eng.Stats(); st.BatchedKNN != 0 || st.Move != 16 || st.KNN != 16 {
+		t.Fatalf("Stats() = %+v, want 16 unbatched kNN and 16 moves", st)
 	}
 }
 

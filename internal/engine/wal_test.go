@@ -123,8 +123,8 @@ func probeQueries(v *model.Venue, n int) []engine.Query {
 func requireEquivalent(t *testing.T, v *model.Venue, got, want *engine.Engine) {
 	t.Helper()
 	qs := probeQueries(v, 12)
-	gr := got.ExecuteBatchWorkers(qs, 1)
-	wr := want.ExecuteBatchWorkers(qs, 1)
+	gr := withWorkers(got, 1).ExecuteBatch(qs)
+	wr := withWorkers(want, 1).ExecuteBatch(qs)
 	for i := range qs {
 		if !reflect.DeepEqual(gr[i], wr[i]) {
 			t.Fatalf("probe %d (%v) diverged:\nrecovered: %+v\nfresh:     %+v", i, qs[i].Kind, gr[i], wr[i])

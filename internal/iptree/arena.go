@@ -21,7 +21,7 @@ import (
 //
 // pack() additionally precomputes the positional lookup tables the climb
 // loops of Algorithms 2/3/5 need, so the warm query paths perform no
-// doorIndex binary searches at all:
+// door-set binary searches at all:
 //
 //   - adPosInOwn[n][i]: position of node n's i-th access door in n's own
 //     matrix (column position for leaves, row==column position for the
@@ -211,8 +211,6 @@ func (t *Tree) pack(leavesOfDoor, accessNodesOfDoor doorCSR, superiorDoors [][]m
 		rows := view(rowSpan[i], nil, nil)
 		m.rows = rows
 		m.cols = view(colSpan[i], n.AccessDoors, rows)
-		m.rowIdx = newDoorIndex(m.rows)
-		m.colIdx = newDoorIndex(m.cols)
 		off := len(pk.dist)
 		pk.dist = append(pk.dist, m.dist...)
 		pk.next = append(pk.next, m.next...)

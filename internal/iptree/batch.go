@@ -90,13 +90,55 @@ func (t *Tree) ensureLevels(lc *leafClimb, m int32) {
 	}
 }
 
+// locSet assigns dense ordinals to the distinct locations of a batch, in
+// first-appearance order. Equal locations share a partition, so each
+// partition chains its distinct locations (head[p] -> next[e] -> ...); the
+// stamps validate head entries per batch, which makes the reset O(1)
+// instead of O(partitions). Both batched paths dedup their endpoints with
+// it: the distance path here and the kNN/range path (objbatch.go).
+type locSet struct {
+	locs  []model.Location
+	head  []int32
+	next  []int32
+	stamp epochStamps
+}
+
+func (s *locSet) reset(numPartitions int) {
+	s.locs = s.locs[:0]
+	s.next = s.next[:0]
+	if len(s.head) < numPartitions {
+		s.head = make([]int32, numPartitions)
+	}
+	s.stamp.reset(numPartitions)
+}
+
+// add returns the ordinal of loc and whether this call registered it.
+func (s *locSet) add(loc model.Location) (int32, bool) {
+	p := int(loc.Partition)
+	if s.stamp.has(p) {
+		for e := s.head[p]; e >= 0; e = s.next[e] {
+			if s.locs[e] == loc {
+				return e, false
+			}
+		}
+	} else {
+		s.stamp.mark(p)
+		s.head[p] = -1
+	}
+	e := int32(len(s.locs))
+	s.locs = append(s.locs, loc)
+	s.next = append(s.next, s.head[p])
+	s.head[p] = e
+	return e, true
+}
+
 // endpointSide holds the distinct endpoints of one side (all sources or all
 // targets) of a batch and their computed tables.
 type endpointSide struct {
 	// id maps each batch index to its distinct-endpoint index (set only for
 	// cross-leaf queries).
-	id     []int32
-	locs   []model.Location
+	id []int32
+	locSet
 	leafOf []int32 // distinct endpoint -> index into batchState.leaves
 	// need is the bitmask of ancestor levels some group requires of this
 	// endpoint; maxLvl its highest set bit. When maxLvl does not fit the
@@ -108,14 +150,6 @@ type endpointSide struct {
 	// lives at base[e] + leafClimb.off[k].
 	base  []int32
 	arena []float64
-	// Partition-indexed dedup: equal locations share a partition, so each
-	// partition chains its distinct locations (head[p] -> link[e] -> ...).
-	// stamp/epoch make the reset O(1) per batch instead of O(partitions) —
-	// head[p] is only valid when stamp[p] equals the current epoch.
-	head  []int32
-	stamp []uint32
-	link  []int32
-	epoch uint32
 }
 
 func (s *endpointSide) reset(n, numPartitions int) {
@@ -123,48 +157,22 @@ func (s *endpointSide) reset(n, numPartitions int) {
 		s.id = make([]int32, n)
 	}
 	s.id = s.id[:n]
-	s.locs = s.locs[:0]
+	s.locSet.reset(numPartitions)
 	s.leafOf = s.leafOf[:0]
 	s.need = s.need[:0]
 	s.maxLvl = s.maxLvl[:0]
 	s.base = s.base[:0]
-	s.link = s.link[:0]
-	if len(s.head) < numPartitions {
-		s.head = make([]int32, numPartitions)
-		s.stamp = make([]uint32, numPartitions)
-		s.epoch = 0
-	}
-	s.epoch++
-	if s.epoch == 0 { // wraparound: invalidate all stamps once
-		clear(s.stamp)
-		s.epoch = 1
-	}
 }
 
 // endpoint returns the distinct-endpoint index of loc, registering it on
 // first sight.
 func (s *endpointSide) endpoint(loc model.Location, leafIdx int32) int32 {
-	p := loc.Partition
-	fresh := s.stamp[p] != s.epoch
-	if !fresh {
-		for e := s.head[p]; e >= 0; e = s.link[e] {
-			if s.locs[e] == loc {
-				return e
-			}
-		}
-	}
-	e := int32(len(s.locs))
-	s.locs = append(s.locs, loc)
-	s.leafOf = append(s.leafOf, leafIdx)
-	s.need = append(s.need, 0)
-	s.maxLvl = append(s.maxLvl, 0)
+	e, fresh := s.add(loc)
 	if fresh {
-		s.link = append(s.link, -1)
-		s.stamp[p] = s.epoch
-	} else {
-		s.link = append(s.link, s.head[p])
+		s.leafOf = append(s.leafOf, leafIdx)
+		s.need = append(s.need, 0)
+		s.maxLvl = append(s.maxLvl, 0)
 	}
-	s.head[p] = e
 	return e
 }
 
@@ -207,11 +215,6 @@ type batchState struct {
 
 	leafS, leafD []NodeID // per batch index (cross-leaf queries only)
 	keys         []uint64 // packed (leafS, leafD, index) sort keys
-
-	// srcShared reports whether the batch repeats source locations often
-	// enough for the folded pairing sweep to pay for itself; otherwise the
-	// sweeps pair directly.
-	srcShared bool
 }
 
 func (t *Tree) getBatchState() *batchState {
@@ -358,12 +361,6 @@ func (t *Tree) planBatch(pairs []index.LocationPair, out []float64) *batchState 
 		}
 	}
 
-	// The folded sweep pays one O(ρ²) fold per distinct source per
-	// supergroup to make every query O(ρ); with (nearly) all-distinct
-	// sources the folds outnumber the queries and direct O(ρ²) pairing per
-	// query is cheaper.
-	st.srcShared = len(st.src.locs)*4 <= len(st.order)*3
-
 	// Supergroup the groups by (ns, nt): queries under the same pair of LCA
 	// children share matrix positions and source folds no matter which
 	// leaves they start from.
@@ -414,14 +411,12 @@ type batchScratch struct {
 	// the source-side child, valid columns of the target-side child).
 	rowPos, rowIdx []int32
 	colPos, colIdx []int32
-	// fold holds the supergroup's source folds, one adT-wide vector per
-	// distinct source encountered. foldOf[sid] points at a source's vector,
-	// valid only when foldStamp[sid] equals foldEpoch (bumped once per
-	// supergroup — an O(1) reset).
-	fold      []float64
-	foldOf    []int32
-	foldStamp []uint32
-	foldEpoch uint32
+	// fold holds the supergroup's source folds, one vector over the
+	// gathered columns per distinct source encountered. foldOf[sid] points at a source's vector,
+	// valid only when foldSeen has sid (reset once per supergroup in O(1)).
+	fold     []float64
+	foldOf   []int32
+	foldSeen epochStamps
 }
 
 func (t *Tree) getBatchScratch() *batchScratch {
@@ -453,7 +448,7 @@ func (t *Tree) DistanceBatch(pairs []index.LocationPair, out []float64, workers 
 
 // DistanceBatch implements index.DistanceBatcher for the VIP-Tree: planning
 // and pairing are shared with the IP-Tree path, but each endpoint table
-// comes from the materialised per-door entries (one sideDistsOnly sweep per
+// comes from the materialised per-door entries (one sideDistances sweep per
 // needed level) instead of a climb.
 func (vt *VIPTree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
 	vt.Tree.distanceBatch(pairs, out, workers, vt.vipEndpointTables)
@@ -580,7 +575,7 @@ func (t *Tree) ipEndpointTables(st *batchState, side *endpointSide, e int, sc *b
 }
 
 // vipEndpointTables fills one endpoint's arena block from the materialised
-// per-door entries: one sideDistsOnly sweep per level some group needs
+// per-door entries: one sideDistances sweep per level some group needs
 // (levels are independent lookups on the VIP-Tree, so unneeded ones are
 // skipped).
 func (vt *VIPTree) vipEndpointTables(st *batchState, side *endpointSide, e int, _ *batchScratch) {
@@ -591,7 +586,7 @@ func (vt *VIPTree) vipEndpointTables(st *batchState, side *endpointSide, e int, 
 		if !all && side.need[e]&(1<<uint(k)) == 0 {
 			continue
 		}
-		vt.sideDistsOnly(side.locs[e], lc.levels[k], block[lc.off[k]:lc.off[k+1]])
+		vt.sideDistances(side.locs[e], lc.levels[k], block[lc.off[k]:lc.off[k+1]], nil)
 	}
 }
 
@@ -599,15 +594,13 @@ func (vt *VIPTree) vipEndpointTables(st *batchState, side *endpointSide, e int, 
 // one (ns, nt) pair of LCA children. The valid matrix positions of both
 // children's access doors are gathered once; for each distinct source the
 // pairing's inner dimension is folded once into u[b] = min over a of
-// ds[a] + M[a][b] (Infinite at doors without a matrix column — those
-// candidates never existed and can never win the strict <, see the file
-// comment); and every query then runs one branch-light O(adT) min sweep of
-// u[b] + dt[b].
+// ds[a] + M[a][b], kept only for the target-side doors with a matrix column
+// (the others have no candidates at all); and every query then runs one
+// branch-light O(ρ) min sweep of u[b] + dt[b] over those doors.
 func (t *Tree) superSweep(pairs []index.LocationPair, out []float64, st *batchState, sg int, sc *batchScratch) {
 	gs := st.sgOrder[st.sgStarts[sg]:st.sgStarts[sg+1]]
 	g0 := gs[0]
 	ns, nt := st.gNS[g0], st.gNT[g0]
-	adT := len(t.nodes[nt].AccessDoors)
 	mat := t.nodes[st.gLCA[g0]].Matrix
 	rowPos := t.pk.adPosInParent[ns]
 	colPos := t.pk.adPosInParent[nt]
@@ -620,7 +613,7 @@ func (t *Tree) superSweep(pairs []index.LocationPair, out []float64, st *batchSt
 	}
 	sc.rowPos, sc.rowIdx = rp, ri
 	cp, cj := sc.colPos[:0], sc.colIdx[:0]
-	for j := 0; j < adT; j++ {
+	for j := range colPos {
 		if colPos[j] >= 0 {
 			cp = append(cp, colPos[j])
 			cj = append(cj, int32(j))
@@ -630,43 +623,11 @@ func (t *Tree) superSweep(pairs []index.LocationPair, out []float64, st *batchSt
 	stride := len(mat.cols)
 	slab := mat.dist
 
-	if !st.srcShared {
-		// Mostly-distinct sources: a fold per source would cost more than
-		// it saves, so pair each query directly (same candidates, same
-		// association, same minimum).
-		for _, g := range gs {
-			qs := st.order[st.groups[g]:st.groups[g+1]]
-			offS := st.leaves[st.gLeafS[g]].off[st.gLvlS[g]]
-			offD := st.leaves[st.gLeafD[g]].off[st.gLvlD[g]]
-			for _, qi := range qs {
-				srow := st.src.arena[st.src.base[st.src.id[qi]]+offS:]
-				trow := st.tgt.arena[st.tgt.base[st.tgt.id[qi]]+offD:]
-				best := Infinite
-				for a, rpos := range rp {
-					ds := srow[ri[a]]
-					row := slab[int(rpos)*stride:]
-					for b, cpos := range cp {
-						if tot := ds + row[cpos] + trow[cj[b]]; tot < best {
-							best = tot
-						}
-					}
-				}
-				out[qi] = best
-			}
-		}
-		return
+	nSrc := len(st.src.locs)
+	if len(sc.foldOf) < nSrc {
+		sc.foldOf = make([]int32, nSrc)
 	}
-
-	if len(sc.foldOf) < len(st.src.locs) {
-		sc.foldOf = make([]int32, len(st.src.locs))
-		sc.foldStamp = make([]uint32, len(st.src.locs))
-		sc.foldEpoch = 0
-	}
-	sc.foldEpoch++
-	if sc.foldEpoch == 0 {
-		clear(sc.foldStamp)
-		sc.foldEpoch = 1
-	}
+	sc.foldSeen.reset(nSrc)
 	sc.fold = sc.fold[:0]
 	for _, g := range gs {
 		qs := st.order[st.groups[g]:st.groups[g+1]]
@@ -675,32 +636,32 @@ func (t *Tree) superSweep(pairs []index.LocationPair, out []float64, st *batchSt
 		for _, qi := range qs {
 			sid := st.src.id[qi]
 			var fi int32
-			if sc.foldStamp[sid] == sc.foldEpoch {
+			if sc.foldSeen.has(int(sid)) {
 				fi = sc.foldOf[sid]
 			} else {
 				fi = int32(len(sc.fold))
-				sc.foldStamp[sid] = sc.foldEpoch
+				sc.foldSeen.mark(int(sid))
 				sc.foldOf[sid] = fi
 				srow := st.src.arena[st.src.base[sid]+offS:]
-				for b := 0; b < adT; b++ {
+				for range cp {
 					sc.fold = append(sc.fold, Infinite)
 				}
-				u := sc.fold[fi:]
+				u := sc.fold[fi:][:len(cp)]
 				for a, rpos := range rp {
 					ds := srow[ri[a]]
 					row := slab[int(rpos)*stride:]
 					for b, cpos := range cp {
-						if c := ds + row[cpos]; c < u[cj[b]] {
-							u[cj[b]] = c
+						if c := ds + row[cpos]; c < u[b] {
+							u[b] = c
 						}
 					}
 				}
 			}
-			u := sc.fold[fi:]
+			u := sc.fold[fi:][:len(cj)]
 			trow := st.tgt.arena[st.tgt.base[st.tgt.id[qi]]+offD:]
 			best := Infinite
-			for b := 0; b < adT; b++ {
-				if tot := u[b] + trow[b]; tot < best {
+			for b, j := range cj {
+				if tot := u[b] + trow[j]; tot < best {
 					best = tot
 				}
 			}

@@ -23,7 +23,7 @@ import (
 
 // goldenMenziesFullMemory is the MemoryBytes of the Menzies full-scale
 // VIP-Tree.
-const goldenMenziesFullMemory = 557304
+const goldenMenziesFullMemory = 555672
 
 var goldenCases = []struct {
 	name    string

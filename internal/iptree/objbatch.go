@@ -13,10 +13,10 @@ import (
 // of Algorithm 5; the climb depends only on the query's source location, so
 // a batch shares it:
 //
-//  1. Plan: dedup the batch's source locations with the same
-//     partition-chained endpoint set the batched distance path uses
-//     (batch.go), and group the queries by distinct source — queries from
-//     one source (and therefore one source leaf) run back to back.
+//  1. Plan: dedup the batch's source locations with the locSet the batched
+//     distance path uses (batch.go), and group the queries by distinct
+//     source — queries from one source (and therefore one source leaf) run
+//     back to back.
 //  2. Climb: for every distinct source, produce its climb block — the
 //     distances from the source to the access doors of every ancestor of
 //     its leaf, chain-ordered leaf→root — either from the tree's climb
@@ -65,51 +65,14 @@ type objBatchState struct {
 	order  []int32
 	starts []int32
 	cursor []int32
-	// locs lists the distinct source locations in first-appearance order;
-	// leafOf their leaves; blockOf their climb blocks (into arena for fresh
-	// climbs, into the cache's memory for hits, laid out by blockOff).
-	locs     []model.Location
+	// src dedups the source locations in first-appearance order; leafOf
+	// holds their leaves and blockOf their climb blocks (into arena for
+	// fresh climbs, into the cache's memory for hits, laid out by blockOff).
+	src      locSet
 	leafOf   []NodeID
 	blockOf  [][]float64
 	blockOff []int32
 	arena    []float64
-	// head/next chain distinct sources per partition for O(1)-amortised
-	// dedup; headStamp validates head entries per batch (same scheme as
-	// endpointSide in batch.go).
-	head      []int32
-	headStamp epochStamps
-	next      []int32
-}
-
-func (bs *objBatchState) reset(numPartitions int) {
-	bs.srcOf = bs.srcOf[:0]
-	bs.locs = bs.locs[:0]
-	bs.next = bs.next[:0]
-	if len(bs.head) < numPartitions {
-		bs.head = make([]int32, numPartitions)
-	}
-	bs.headStamp.reset(numPartitions)
-}
-
-// endpoint returns the distinct-source ordinal of loc, registering it on
-// first sight.
-func (bs *objBatchState) endpoint(loc model.Location) int32 {
-	p := int(loc.Partition)
-	if bs.headStamp.has(p) {
-		for e := bs.head[p]; e >= 0; e = bs.next[e] {
-			if bs.locs[e] == loc {
-				return e
-			}
-		}
-	} else {
-		bs.headStamp.mark(p)
-		bs.head[p] = -1
-	}
-	e := int32(len(bs.locs))
-	bs.locs = append(bs.locs, loc)
-	bs.next = append(bs.next, bs.head[p])
-	bs.head[p] = e
-	return e
 }
 
 func (oi *ObjectIndex) getObjBatchState() *objBatchState {
@@ -237,19 +200,21 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	t := oi.tree
 	bs := oi.getObjBatchState()
 	defer oi.putObjBatchState(bs)
-	bs.reset(t.venue.NumPartitions())
+	bs.src.reset(t.venue.NumPartitions())
 
 	// Plan: dedup sources and group query indices by distinct source.
+	bs.srcOf = bs.srcOf[:0]
 	for i := 0; i < n; i++ {
-		bs.srcOf = append(bs.srcOf, bs.endpoint(locOf(i)))
+		e, _ := bs.src.add(locOf(i))
+		bs.srcOf = append(bs.srcOf, e)
 	}
-	nSrc := len(bs.locs)
+	nSrc := len(bs.src.locs)
 	bs.leafOf = append(bs.leafOf[:0], make([]NodeID, nSrc)...)
 	bs.blockOff = growI32(bs.blockOff, nSrc+1)
 	bs.blockOff[0] = 0
 	total := 0
 	for e := 0; e < nSrc; e++ {
-		leaf := t.Leaf(bs.locs[e].Partition)
+		leaf := t.Leaf(bs.src.locs[e].Partition)
 		bs.leafOf[e] = leaf
 		for nd := leaf; ; nd = t.nodes[nd].Parent {
 			total += len(t.nodes[nd].AccessDoors)
@@ -292,7 +257,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	// Climb: one block per distinct source, via the cache when warm.
 	scs := make([]*distScratch, min(maxW, nSrc))
 	runParallel(nSrc, maxW, func(w, e int) {
-		loc := bs.locs[e]
+		loc := bs.src.locs[e]
 		if blk := t.climb.lookup(loc); blk != nil {
 			bs.blockOf[e] = blk
 			return

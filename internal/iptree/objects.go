@@ -177,12 +177,6 @@ type ObjectIndex struct {
 	// array instead of recloning the O(nodes) spine on every publish.
 	countsDirty bool
 
-	// leafColPos[leaf][ai] is the column position of the leaf's ai-th access
-	// door in the leaf's matrix (-1 when absent), precomputed once so object
-	// updates sweep the matrix positionally instead of binary-searching
-	// per entry. Immutable after construction.
-	leafColPos [][]int32
-
 	// tableMu guards the object table below (id allocation, the free list,
 	// and the authoritative object locations and leaf assignments). The
 	// table is writer- and accessor-side state only: queries never touch
@@ -229,22 +223,12 @@ func newObjectIndex(t *Tree, name string, startSeq uint64) *ObjectIndex {
 		shadowCount: make([]int64, len(t.nodes)),
 		leafStamp:   make([]uint64, len(t.nodes)),
 		gen:         1,
-		leafColPos:  make([][]int32, len(t.nodes)),
 	}
 	oi.cur.Store(&objEpoch{
 		leafData:     make([]*leafObjects, len(t.nodes)),
 		subtreeCount: make([]int64, len(t.nodes)),
 	})
 	oi.log = updatelog.New(objApplier{oi}, startSeq)
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		if !n.IsLeaf() || n.Matrix == nil {
-			continue
-		}
-		// A leaf's adPosInOwn positions are exactly its matrix column
-		// positions; share the tree's view.
-		oi.leafColPos[i] = t.pk.adPosInOwn[i]
-	}
 	return oi
 }
 
@@ -318,13 +302,14 @@ func (oi *ObjectIndex) buildLeaf(leaf NodeID, ids []ObjectID) *leafObjects {
 // accessDists computes the distance from an object location inside the leaf
 // to every access door of the leaf, into dists (length: the access-door
 // count): per door the best combination of walking to one of the
-// partition's doors and the leaf matrix from there (Section 3.4). Row and
-// column positions are resolved once and the flat matrix swept positionally,
-// which keeps an object update a few microseconds.
+// partition's doors and the leaf matrix from there (Section 3.4). Row
+// positions are resolved once per door and the flat matrix swept
+// positionally — a leaf's adPosInOwn positions are exactly its matrix column
+// positions — which keeps an object update a few microseconds.
 func (oi *ObjectIndex) accessDists(leaf NodeID, o model.Location, dists []float64) {
 	t := oi.tree
 	mat := t.nodes[leaf].Matrix
-	cols := oi.leafColPos[leaf]
+	cols := t.pk.adPosInOwn[leaf]
 	for ai := range dists {
 		dists[ai] = Infinite
 	}
@@ -629,9 +614,6 @@ func (oi *ObjectIndex) MemoryBytes() int64 {
 	total += int64(len(ep.leafData)) * 8 * 2     // epoch + shadow *leafObjects pointers
 	total += int64(len(ep.subtreeCount)) * 8 * 2 // epoch + shadow counts
 	total += int64(len(oi.leafStamp)) * 8
-	// The position data itself is shared with (and counted by) the tree's
-	// pos slab.
-	total += int64(len(oi.leafColPos)) * sizeofSliceHeader
 	return total
 }
 

@@ -165,10 +165,8 @@ func (t *Tree) putDistScratch(sc *distScratch) { t.distPool.Put(sc) }
 // from the query location to AccessDoors[i] (Infinite when unreachable) and
 // via[i] the superior door of the location's partition achieving it.
 type vipSide struct {
-	node  NodeID
-	doors []model.DoorID // the node's access doors (shared, not copied)
-	dist  []float64
-	via   []model.DoorID
+	dist []float64
+	via  []model.DoorID
 }
 
 // resize prepares the side for a node with n access doors, reusing the

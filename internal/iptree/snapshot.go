@@ -288,20 +288,12 @@ func RestoreTree(v *model.Venue, st *TreeState) (*Tree, error) {
 				return nil, fmt.Errorf("iptree: restore: node %d partition %d out of range", i, p)
 			}
 		}
-		if err := checkDoorIDs(ns.AccessDoors, numDoors, fmt.Sprintf("node %d access doors", i)); err != nil {
+		if err := checkDoorIDs(ns.AccessDoors, numDoors, false, fmt.Sprintf("node %d access doors", i)); err != nil {
 			return nil, err
 		}
-		mat, err := restoreMatrix(ns.Matrix, numDoors, i)
+		mat, err := restoreMatrix(ns.Matrix, numDoors, i, len(ns.Children) > 0)
 		if err != nil {
 			return nil, err
-		}
-		// Non-leaf matrices are square with identical row and column door
-		// sets — every exporter writes them that way, and the packed
-		// positional tables (arena.go) index columns by row position. A
-		// crafted payload with permuted columns would silently answer
-		// wrong distances, so reject it here.
-		if len(ns.Children) > 0 && !slices.Equal(mat.rows, mat.cols) {
-			return nil, fmt.Errorf("iptree: restore: node %d non-leaf matrix columns differ from rows", i)
 		}
 		t.nodes[i] = Node{
 			ID:          NodeID(i),
@@ -337,7 +329,7 @@ func RestoreTree(v *model.Venue, st *TreeState) (*Tree, error) {
 		}
 	}
 	for p, sup := range st.SuperiorDoors {
-		if err := checkDoorIDs(sup, numDoors, fmt.Sprintf("partition %d superior doors", p)); err != nil {
+		if err := checkDoorIDs(sup, numDoors, false, fmt.Sprintf("partition %d superior doors", p)); err != nil {
 			return nil, err
 		}
 	}
@@ -512,21 +504,29 @@ func RestoreObjectIndex(t *Tree, st *ObjectIndexState) (*ObjectIndex, error) {
 }
 
 // restoreMatrix rebuilds a distance matrix from its serialised form: the
-// row/column lookup indexes are reconstructed and the global next-hop door
-// IDs of the payload are re-encoded into the positional int32 form the
-// serving layout uses (matrix.go). The encoding is lossless, so a
-// re-exported matrix reproduces the payload byte for byte.
-func restoreMatrix(ms *MatrixState, numDoors, nodeID int) (*Matrix, error) {
+// door sets are validated and the global next-hop door IDs of the payload
+// are re-encoded into the positional int32 form the serving layout uses
+// (matrix.go). The encoding is lossless, so a re-exported matrix reproduces
+// the payload byte for byte. square marks a non-leaf node's matrix.
+func restoreMatrix(ms *MatrixState, numDoors, nodeID int, square bool) (*Matrix, error) {
 	if ms == nil {
 		return nil, fmt.Errorf("iptree: restore: node %d has no distance matrix", nodeID)
 	}
-	if err := checkDoorIDs(ms.Rows, numDoors, fmt.Sprintf("node %d matrix rows", nodeID)); err != nil {
+	if err := checkDoorSet(ms.Rows, numDoors, fmt.Sprintf("node %d matrix rows", nodeID)); err != nil {
 		return nil, err
 	}
-	if err := checkDoorIDs(ms.Cols, numDoors, fmt.Sprintf("node %d matrix cols", nodeID)); err != nil {
+	// Non-leaf matrices are square with identical row and column door sets
+	// — every exporter writes them that way, and the packed positional
+	// tables (arena.go) index columns by row position. A crafted payload
+	// with permuted columns would silently answer wrong distances, so
+	// reject it here.
+	if square && !slices.Equal(ms.Rows, ms.Cols) {
+		return nil, fmt.Errorf("iptree: restore: node %d non-leaf matrix columns differ from rows", nodeID)
+	}
+	if err := checkDoorSet(ms.Cols, numDoors, fmt.Sprintf("node %d matrix cols", nodeID)); err != nil {
 		return nil, err
 	}
-	if err := checkDoorIDs(ms.Next, numDoors, fmt.Sprintf("node %d matrix next hops", nodeID)); err != nil {
+	if err := checkDoorIDs(ms.Next, numDoors, true, fmt.Sprintf("node %d matrix next hops", nodeID)); err != nil {
 		return nil, err
 	}
 	cells := len(ms.Rows) * len(ms.Cols)
@@ -534,29 +534,38 @@ func restoreMatrix(ms *MatrixState, numDoors, nodeID int) (*Matrix, error) {
 		return nil, fmt.Errorf("iptree: restore: node %d matrix has %d dist / %d next entries for %dx%d doors",
 			nodeID, len(ms.Dist), len(ms.Next), len(ms.Rows), len(ms.Cols))
 	}
-	m := &Matrix{
-		rows:   ms.Rows,
-		cols:   ms.Cols,
-		rowIdx: newDoorIndex(ms.Rows),
-		colIdx: newDoorIndex(ms.Cols),
-		dist:   ms.Dist,
-		next:   make([]int32, cells),
-	}
+	m := &Matrix{rows: ms.Rows, cols: ms.Cols, dist: ms.Dist, next: make([]int32, cells)}
 	for i, d := range ms.Next {
 		m.next[i] = m.encodeNext(d)
 	}
 	return m, nil
 }
 
-// checkDoorIDs validates that every door ID is a valid dense index, with
-// NoDoor permitted (it marks absent next hops).
-func checkDoorIDs(doors []model.DoorID, numDoors int, what string) error {
+// checkDoorIDs validates that every door ID is a valid dense index. NoDoor
+// passes only where allowNone is set — the next-hop arrays, where it marks
+// an absent hop; anywhere else it would index a per-door table at -1.
+func checkDoorIDs(doors []model.DoorID, numDoors int, allowNone bool, what string) error {
 	for _, d := range doors {
-		if d == NoDoor {
+		if d == NoDoor && allowNone {
 			continue
 		}
 		if int(d) < 0 || int(d) >= numDoors {
 			return fmt.Errorf("iptree: restore: %s: door %d out of range [0,%d)", what, d, numDoors)
+		}
+	}
+	return nil
+}
+
+// checkDoorSet validates a matrix door set: valid door IDs in the strictly
+// ascending order every builder writes and the matrix lookups
+// binary-search.
+func checkDoorSet(doors []model.DoorID, numDoors int, what string) error {
+	if err := checkDoorIDs(doors, numDoors, false, what); err != nil {
+		return err
+	}
+	for i := 1; i < len(doors); i++ {
+		if doors[i] <= doors[i-1] {
+			return fmt.Errorf("iptree: restore: %s: doors not strictly ascending at position %d", what, i)
 		}
 	}
 	return nil

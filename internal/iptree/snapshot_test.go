@@ -183,6 +183,30 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			t.Skip("venue produced no suitable non-leaf matrix")
 		}, "columns differ from rows"},
 		{"superior door count mismatch", func(st *TreeState) { st.SuperiorDoors = st.SuperiorDoors[:1] }, "superior"},
+		// NoDoor is a valid value only in next-hop arrays; in a door set it
+		// would index the per-door tables at -1.
+		{"access door NoDoor", func(st *TreeState) {
+			st.Nodes[firstLeaf(t, st, 1)].AccessDoors[0] = NoDoor
+		}, "access doors: door -1"},
+		{"matrix row NoDoor", func(st *TreeState) {
+			st.Nodes[firstLeaf(t, st, 1)].Matrix.Rows[0] = NoDoor
+		}, "matrix rows: door -1"},
+		{"matrix column NoDoor", func(st *TreeState) {
+			st.Nodes[firstLeaf(t, st, 1)].Matrix.Cols[0] = NoDoor
+		}, "matrix cols: door -1"},
+		{"superior door NoDoor", func(st *TreeState) {
+			for p := range st.SuperiorDoors {
+				if len(st.SuperiorDoors[p]) > 0 {
+					st.SuperiorDoors[p][0] = NoDoor
+					return
+				}
+			}
+			t.Skip("venue produced no superior doors")
+		}, "superior doors: door -1"},
+		{"matrix rows unsorted", func(st *TreeState) {
+			rows := st.Nodes[firstLeaf(t, st, 2)].Matrix.Rows
+			rows[0], rows[1] = rows[1], rows[0]
+		}, "not strictly ascending"},
 		{"partition covered twice", func(st *TreeState) {
 			// Duplicate the first leaf's partition into another leaf.
 			var leaves []int
@@ -208,6 +232,20 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstLeaf returns the first leaf with an access door and at least minRows
+// matrix rows, skipping the test when the venue has none.
+func firstLeaf(t *testing.T, st *TreeState, minRows int) int {
+	t.Helper()
+	for i := range st.Nodes {
+		n := &st.Nodes[i]
+		if len(n.Children) == 0 && len(n.AccessDoors) > 0 && n.Matrix != nil && len(n.Matrix.Rows) >= minRows {
+			return i
+		}
+	}
+	t.Skip("venue produced no suitable leaf")
+	return -1
 }
 
 // TestRestoreVIPRejectsCorruptState checks the VIP-specific validation.

@@ -370,8 +370,8 @@ func (t *Tree) MemoryBytes() int64 {
 		n := &t.nodes[i]
 		total += int64(len(n.Children))*sizeofNodeID + int64(len(n.Partitions))*sizeofInt + sizeofNodeStruct
 		if n.Matrix != nil {
-			// Cells, door sets and sorted-alias indexes live in the slabs;
-			// only the struct (views + index headers) is per-node.
+			// Cells and door sets live in the slabs; only the struct (the
+			// views) is per-node.
 			total += sizeofMatrixStruct
 		}
 	}

@@ -293,8 +293,11 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 	lca := t.LCA(leafS, leafD)
 	ns := t.ChildToward(lca, leafS)
 	nt := t.ChildToward(lca, leafD)
-	vt.sideDistances(s, ns, &sc.s)
-	vt.sideDistances(d, nt, &sc.d)
+	adS, adD := t.nodes[ns].AccessDoors, t.nodes[nt].AccessDoors
+	sc.s.resize(len(adS))
+	sc.d.resize(len(adD))
+	vt.sideDistances(s, ns, sc.s.dist, sc.s.via)
+	vt.sideDistances(d, nt, sc.d.dist, sc.d.via)
 	mat := t.nodes[lca].Matrix
 	res := vipResult{dist: Infinite, cross: true, nodeS: ns, nodeD: nt,
 		pair: [2]model.DoorID{NoDoor, NoDoor}, supS: NoDoor, supD: NoDoor}
@@ -303,12 +306,12 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 	// slab positionally — no door lookups.
 	rowS := t.pk.adPosInParent[ns]
 	colD := t.pk.adPosInParent[nt]
-	for i, di := range sc.s.doors {
+	for i, di := range adS {
 		ds := sc.s.dist[i]
 		if ds == Infinite || rowS[i] < 0 {
 			continue
 		}
-		for j, dj := range sc.d.doors {
+		for j, dj := range adD {
 			dd := sc.d.dist[j]
 			if dd == Infinite || colD[j] < 0 {
 				continue
@@ -331,18 +334,19 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 // sideDistances computes dist(loc, a) for every access door a of `node` (an
 // ancestor of the location's leaf) using only the superior doors of the
 // location's partition and the materialised per-door distances — the
-// modified Algorithm 2 of Section 3.1.2. Results are written into side,
-// aligned with the node's access doors.
-func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, side *vipSide) {
+// modified Algorithm 2 of Section 3.1.2. dist[i] receives the distance to
+// AccessDoors[i] and via[i] the superior door achieving it. A nil via skips
+// the via writes: the batched Distance path computes one side per distinct
+// endpoint and needs no path skeleton.
+func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, dist []float64, via []model.DoorID) {
 	t := vt.Tree
 	v := t.venue
 	ads := t.nodes[node].AccessDoors
-	side.node = node
-	side.doors = ads
-	side.resize(len(ads))
-	for i := range side.dist {
-		side.dist[i] = Infinite
-		side.via[i] = NoDoor
+	for i := range dist {
+		dist[i] = Infinite
+	}
+	for i := range via {
+		via[i] = NoDoor
 	}
 	// Each superior door's entry block for this node is one contiguous
 	// stretch of the distance slab, scanned sequentially.
@@ -363,45 +367,11 @@ func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, side *vipSide)
 			if md == Infinite {
 				continue
 			}
-			if base+md < side.dist[i] {
-				side.dist[i] = base + md
-				side.via[i] = sdoor
-			}
-		}
-	}
-}
-
-// sideDistsOnly is the distance-only form of sideDistances used by the
-// batched Distance path, where one side is computed once per distinct
-// endpoint and shared by every query in its group, and via doors are not
-// needed (batched queries return distances, not paths). dist must be
-// len(AccessDoors(node)) long.
-func (vt *VIPTree) sideDistsOnly(loc model.Location, node NodeID, dist []float64) {
-	t := vt.Tree
-	v := t.venue
-	ads := t.nodes[node].AccessDoors
-	for i := range dist {
-		dist[i] = Infinite
-	}
-	dists := vt.vpk.dist
-	for _, sdoor := range t.SuperiorDoors(loc.Partition) {
-		base := v.DistToDoor(loc, sdoor)
-		off, hasEntries := vt.entriesOffset(sdoor, node)
-		for i, a := range ads {
-			var md float64
-			switch {
-			case sdoor == a:
-				md = 0
-			case hasEntries:
-				md = dists[off+i]
-			default:
-				md = Infinite
-			}
-			if md == Infinite {
-				continue
-			}
 			if base+md < dist[i] {
 				dist[i] = base + md
+				if via != nil {
+					via[i] = sdoor
+				}
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc64"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -46,6 +48,43 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 		f.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// stateTree is an IP-Tree whose snapshot payload is a given tree state
+// instead of its own export: it writes the checksum-valid files a buggy or
+// hostile writer could produce, which only restore's validation can catch.
+type stateTree struct {
+	*iptree.Tree
+	st *iptree.TreeState
+}
+
+func (s stateTree) EncodeSnapshot(w io.Writer) error { return gob.NewEncoder(w).Encode(s.st) }
+
+// craftedSnapshot writes a snapshot of the paper's running example whose
+// exported tree state mutate altered.
+func craftedSnapshot(tb testing.TB, mutate func(*iptree.TreeState)) []byte {
+	tb.Helper()
+	v := venuegen.PaperExample()
+	tree := iptree.MustBuildIPTree(v, iptree.Options{})
+	st := tree.ExportState()
+	mutate(st)
+	var buf bytes.Buffer
+	if err := Write(&buf, v, stateTree{tree, st}, nil); err != nil {
+		tb.Fatalf("Write: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// firstLeaf returns the first leaf of st with an access door and at least
+// two matrix rows.
+func firstLeaf(st *iptree.TreeState) *iptree.NodeState {
+	for i := range st.Nodes {
+		n := &st.Nodes[i]
+		if len(n.Children) == 0 && len(n.AccessDoors) > 0 && n.Matrix != nil && len(n.Matrix.Rows) >= 2 {
+			return n
+		}
+	}
+	panic("paper example has no leaf with an access door and two matrix rows")
 }
 
 // FuzzReadSnapshot feeds arbitrary bytes to Read. Any outcome but a clean
@@ -115,6 +154,11 @@ func FuzzSnapshotPayload(f *testing.F) {
 		f.Fatalf("Write: %v", err)
 	}
 	f.Add(vip.Bytes()[headerSize:])
+
+	// NoDoor among a leaf's access doors once made restore index a per-door
+	// table at -1 and panic.
+	crafted := craftedSnapshot(f, func(st *iptree.TreeState) { firstLeaf(st).AccessDoors[0] = iptree.NoDoor })
+	f.Add(crafted[headerSize:])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > maxPayload {

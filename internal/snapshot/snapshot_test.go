@@ -280,6 +280,41 @@ type kindOverride struct {
 
 func (k kindOverride) SnapshotKind() string { return k.kind }
 
+// TestReadRejectsCraftedDoorSets: checksum-valid snapshots whose tree state
+// carries NoDoor in a door set, or matrix rows out of order, load as errors
+// — never as a panic or a tree that answers from the wrong cells.
+func TestReadRejectsCraftedDoorSets(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(st *iptree.TreeState)
+	}{
+		{"access door NoDoor", func(st *iptree.TreeState) { firstLeaf(st).AccessDoors[0] = iptree.NoDoor }},
+		{"matrix row NoDoor", func(st *iptree.TreeState) { firstLeaf(st).Matrix.Rows[0] = iptree.NoDoor }},
+		{"matrix column NoDoor", func(st *iptree.TreeState) { firstLeaf(st).Matrix.Cols[0] = iptree.NoDoor }},
+		{"superior door NoDoor", func(st *iptree.TreeState) {
+			for p := range st.SuperiorDoors {
+				if len(st.SuperiorDoors[p]) > 0 {
+					st.SuperiorDoors[p][0] = iptree.NoDoor
+					return
+				}
+			}
+			t.Fatal("paper example has no superior doors")
+		}},
+		{"matrix rows unsorted", func(st *iptree.TreeState) {
+			rows := firstLeaf(st).Matrix.Rows
+			rows[0], rows[1] = rows[1], rows[0]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Read(bytes.NewReader(craftedSnapshot(t, tc.mutate)))
+			if err == nil || s != nil {
+				t.Fatalf("Read = (%v, %v), want a restore error", s, err)
+			}
+		})
+	}
+}
+
 // TestVenueMismatch checks that writing an index with a venue it was not
 // built over is rejected.
 func TestVenueMismatch(t *testing.T) {
