@@ -124,51 +124,68 @@ func crossLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) [
 	return out
 }
 
-// BenchmarkDistance measures the warm shortest-distance hot path of every
-// index on cross-leaf pairs, with allocation statistics: the VIP-Tree and
-// IP-Tree rows must report 0 allocs/op (their scratch is pooled dense
-// slices; see internal/iptree/scratch.go and the regression test
-// TestVIPDistanceZeroAlloc).
-func BenchmarkDistance(b *testing.B) {
+// sameLeafPairs keeps the pairs of a uniform sample of n whose endpoints lie
+// in different partitions of one leaf: the queries the trees answer with an
+// exact D2D search instead of their matrices, and that return doors from
+// Path. On Men small, 687 of the 4,000 pairs of seed 11 qualify.
+func sameLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) []bench.QueryPair {
+	var out []bench.QueryPair
+	for _, p := range bench.Pairs(toModelVenue(v), n, seed) {
+		if p.S.Partition != p.T.Partition && tree.Leaf(p.S.Partition) == tree.Leaf(p.T.Partition) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// leafRows runs one query function of every competitor as a cross-leaf row
+// and a same-leaf row, side by side.
+func leafRows(b *testing.B, idx *builtIndexes, query func(distCompetitor, bench.QueryPair)) {
 	v := benchVenue("Men")
-	idx := benchIndexes("Men")
-	pairs := crossLeafPairs(v, idx.ip, 512, 42)
-	if len(pairs) == 0 {
-		b.Skip("no cross-leaf pairs")
+	rows := []struct {
+		name  string
+		pairs []bench.QueryPair
+	}{
+		{"cross-leaf", crossLeafPairs(v, idx.ip, 512, 42)},
+		{"same-leaf", sameLeafPairs(v, idx.ip, 4000, 11)},
 	}
 	for _, comp := range distCompetitors(idx) {
 		b.Run(comp.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				comp.dist(p.S, p.T)
+			for _, row := range rows {
+				b.Run(row.name, func(b *testing.B) {
+					if len(row.pairs) == 0 {
+						b.Skip("no pairs")
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						query(comp, row.pairs[i%len(row.pairs)])
+					}
+				})
 			}
 		})
 	}
 }
 
+// BenchmarkDistance measures the warm shortest-distance hot path of every
+// index on cross-leaf and on same-leaf pairs, with allocation statistics:
+// the VIP-Tree and IP-Tree rows must report 0 allocs/op in both (their
+// scratch is recycled dense slices and the same-leaf D2D search runs on it;
+// see internal/iptree/scratch.go and the regression tests
+// TestVIPDistanceZeroAlloc and TestVIPDistanceZeroAllocAnyPair). The
+// same-leaf rows time the exact D2D search the trees fall back to.
+func BenchmarkDistance(b *testing.B) {
+	leafRows(b, benchIndexes("Men"), func(c distCompetitor, p bench.QueryPair) { c.dist(p.S, p.T) })
+}
+
 // BenchmarkPath measures the warm shortest-path hot path of every index on
-// cross-leaf pairs, with allocation statistics: the VIP-Tree and IP-Tree
-// rows must report 1 alloc/op — the returned door slice — with the partial
-// path, via-chain unwind and Algorithm-4 expansion all running on pooled
-// scratch (see internal/iptree/path.go and the regression tests
+// cross-leaf and on same-leaf pairs, with allocation statistics: the
+// VIP-Tree and IP-Tree rows must report 1 alloc/op — the returned door
+// slice — with the partial path, via-chain unwind, Algorithm-4 expansion and
+// same-leaf search all running on recycled scratch (see
+// internal/iptree/path.go and the regression tests
 // TestIPPathAllocsResultSliceOnly / TestVIPPathAllocsResultSliceOnly).
 func BenchmarkPath(b *testing.B) {
-	v := benchVenue("Men")
-	idx := benchIndexes("Men")
-	pairs := crossLeafPairs(v, idx.ip, 512, 42)
-	if len(pairs) == 0 {
-		b.Skip("no cross-leaf pairs")
-	}
-	for _, comp := range distCompetitors(idx) {
-		b.Run(comp.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				comp.path(p.S, p.T)
-			}
-		})
-	}
+	leafRows(b, benchIndexes("Men"), func(c distCompetitor, p bench.QueryPair) { c.path(p.S, p.T) })
 }
 
 // BenchmarkEngineThroughput measures aggregate engine throughput (QPS) for

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 )
@@ -139,47 +140,10 @@ func (ix *Index) expand(q model.Location, stop func([]index.ObjectResult, float6
 	}
 
 	// Multi-source Dijkstra seeded with the doors of the query partition.
-	type item struct {
-		door int
-		dist float64
-	}
-	heap := []item{}
-	push := func(it item) {
-		heap = append(heap, it)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p].dist <= heap[i].dist {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l := 2*i + 1
-			if l >= len(heap) {
-				break
-			}
-			small := l
-			if r := l + 1; r < len(heap) && heap[r].dist < heap[l].dist {
-				small = r
-			}
-			if heap[i].dist <= heap[small].dist {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	settled := make(map[int]bool)
+	var sc graph.SearchScratch
+	sc.Reset(g.NumVertices())
 	for _, d := range v.Partition(q.Partition).Doors {
-		push(item{door: int(d), dist: v.DistToDoor(q, d)})
+		sc.Seed(int(d), v.DistToDoor(q, d))
 	}
 	snapshot := func() []index.ObjectResult {
 		out := make([]index.ObjectResult, 0, len(best))
@@ -194,30 +158,27 @@ func (ix *Index) expand(q model.Location, stop func([]index.ObjectResult, float6
 		})
 		return out
 	}
-	for len(heap) > 0 {
-		it := pop()
-		if settled[it.door] {
-			continue
+	for {
+		u, du, ok := sc.Pop()
+		if !ok {
+			break
 		}
-		settled[it.door] = true
 		// Evaluate objects in the partitions adjacent to the settled door.
-		door := v.Door(model.DoorID(it.door))
+		door := v.Door(model.DoorID(u))
 		for _, pid := range door.Partitions {
 			for _, id := range ix.objectsInPartition[pid] {
 				o := ix.objects[id]
-				d := it.dist + v.DistToDoor(o, model.DoorID(it.door))
+				d := du + v.DistToDoor(o, model.DoorID(u))
 				if cur, ok := best[id]; !ok || d < cur {
 					best[id] = d
 				}
 			}
 		}
-		if stop(snapshot(), it.dist) {
+		if stop(snapshot(), du) {
 			break
 		}
-		for _, e := range g.Neighbors(it.door) {
-			if !settled[e.To] {
-				push(item{door: e.To, dist: it.dist + e.Weight})
-			}
+		for _, e := range g.Neighbors(u) {
+			sc.Relax(u, e.To, du+e.Weight)
 		}
 	}
 	return snapshot()

@@ -241,13 +241,23 @@ func (t *Tree) buildMatrices() {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool { return t.nodes[order[i]].level < t.nodes[order[j]].level })
+	var sc graph.SearchScratch
+	search := func(from int, targets []int) []float64 {
+		sc.Reset(t.g.NumVertices())
+		sc.Seed(from, 0)
+		for _, v := range targets {
+			sc.Target(v)
+		}
+		dist, _ := sc.Run(t.g)
+		return dist
+	}
 	for _, id := range order {
 		n := &t.nodes[id]
 		n.mat = make(map[[2]int]float64)
 		if len(n.children) == 0 {
 			targets := n.vertices
 			for _, b := range n.borders {
-				dist, _ := t.g.ToTargets(b, targets)
+				dist := search(b, targets)
 				for _, v := range targets {
 					if dist[v] != graph.Infinity {
 						n.mat[[2]int{v, b}] = dist[v]
@@ -274,7 +284,7 @@ func (t *Tree) buildMatrices() {
 			}
 		}
 		for _, from := range doors {
-			dist, _ := t.g.ToTargets(from, doors)
+			dist := search(from, doors)
 			for _, to := range doors {
 				if dist[to] != graph.Infinity {
 					n.mat[[2]int{from, to}] = dist[to]

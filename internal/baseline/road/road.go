@@ -89,6 +89,7 @@ func Build(v *model.Venue, opts Options) *Index {
 		ix.rnets = append(ix.rnets, rn)
 	}
 	// Borders and shortcuts.
+	var sc graph.SearchScratch
 	for i := range ix.rnets {
 		rn := &ix.rnets[i]
 		for _, d := range rn.vertices {
@@ -101,7 +102,12 @@ func Build(v *model.Venue, opts Options) *Index {
 		}
 		sort.Ints(rn.borders)
 		for _, b := range rn.borders {
-			dist, _ := ix.g.ToTargets(b, rn.borders)
+			sc.Reset(ix.g.NumVertices())
+			sc.Seed(b, 0)
+			for _, b2 := range rn.borders {
+				sc.Target(b2)
+			}
+			dist, _ := sc.Run(ix.g)
 			for _, b2 := range rn.borders {
 				if dist[b2] != graph.Infinity {
 					rn.shortcut[[2]int{b, b2}] = dist[b2]
@@ -134,8 +140,8 @@ func (ix *Index) MemoryBytes() int64 {
 // Distance performs the ROAD search: a Dijkstra expansion that traverses
 // Rnets containing neither endpoint only through their border shortcuts.
 func (ix *Index) Distance(s, t model.Location) float64 {
-	d, _ := ix.search(s, t)
-	return d
+	var sc graph.SearchScratch
+	return ix.search(&sc, s, t)
 }
 
 // Path returns the shortest distance and the door sequence of the shortest
@@ -143,7 +149,7 @@ func (ix *Index) Distance(s, t model.Location) float64 {
 // sequence is re-expanded with a plain graph search after the overlay search
 // determines the distance.
 func (ix *Index) Path(s, t model.Location) (float64, []model.DoorID) {
-	d, _ := ix.search(s, t)
+	d := ix.Distance(s, t)
 	if s.Partition == t.Partition {
 		return d, nil
 	}
@@ -151,16 +157,16 @@ func (ix *Index) Path(s, t model.Location) (float64, []model.DoorID) {
 	return d, doors
 }
 
-// search runs the overlay Dijkstra from the doors of s's partition to the
-// doors of t's partition.
-func (ix *Index) search(s, t model.Location) (float64, []int) {
+// search runs the overlay Dijkstra on sc from the doors of s's partition to
+// the doors of t's partition.
+func (ix *Index) search(sc *graph.SearchScratch, s, t model.Location) float64 {
 	v := ix.venue
 	if s.Partition == t.Partition {
 		p := v.Partition(s.Partition)
 		if p.TraversalCost > 0 {
-			return p.TraversalCost, nil
+			return p.TraversalCost
 		}
-		return s.Point.PlanarDist(t.Point), nil
+		return s.Point.PlanarDist(t.Point)
 	}
 	// Rnets containing an endpoint are traversed edge by edge; all other
 	// Rnets are traversed via shortcuts only.
@@ -171,95 +177,50 @@ func (ix *Index) search(s, t model.Location) (float64, []int) {
 	for _, d := range v.Partition(t.Partition).Doors {
 		open[ix.rnetOf[int(d)]] = true
 	}
-	targetDist := make(map[int]float64)
-	for _, d := range v.Partition(t.Partition).Doors {
-		targetDist[int(d)] = v.DistToDoor(t, d)
-	}
-
-	type item struct {
-		door int
-		dist float64
-	}
-	heap := []item{}
-	push := func(it item) {
-		heap = append(heap, it)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p].dist <= heap[i].dist {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l := 2*i + 1
-			if l >= len(heap) {
-				break
-			}
-			small := l
-			if r := l + 1; r < len(heap) && heap[r].dist < heap[l].dist {
-				small = r
-			}
-			if heap[i].dist <= heap[small].dist {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	settled := make(map[int]bool)
+	sc.Reset(ix.g.NumVertices())
 	for _, d := range v.Partition(s.Partition).Doors {
-		push(item{door: int(d), dist: v.DistToDoor(s, d)})
+		sc.Seed(int(d), v.DistToDoor(s, d))
 	}
-	best := graph.Infinity
-	remaining := len(targetDist)
-	for len(heap) > 0 && remaining > 0 {
-		it := pop()
-		if settled[it.door] {
-			continue
+	for _, d := range v.Partition(t.Partition).Doors {
+		sc.Target(int(d))
+	}
+	for {
+		u, du, ok := sc.Pop()
+		if !ok {
+			break
 		}
-		settled[it.door] = true
-		if leg, ok := targetDist[it.door]; ok {
-			if it.dist+leg < best {
-				best = it.dist + leg
-			}
-			remaining--
-		}
-		rnID := ix.rnetOf[it.door]
+		rnID := ix.rnetOf[u]
 		rn := &ix.rnets[rnID]
 		if open[rnID] {
 			// Endpoint Rnet: expand original edges.
-			for _, e := range ix.g.Neighbors(it.door) {
-				if !settled[e.To] {
-					push(item{door: e.To, dist: it.dist + e.Weight})
-				}
+			for _, e := range ix.g.Neighbors(u) {
+				sc.Relax(u, e.To, du+e.Weight)
 			}
 			continue
 		}
 		// Transit Rnet: jump to its other borders via shortcuts, and cross
 		// into neighbouring Rnets via original edges that leave the Rnet.
 		for _, b := range rn.borders {
-			if b == it.door || settled[b] {
+			if b == u {
 				continue
 			}
-			if w, ok := rn.shortcut[[2]int{it.door, b}]; ok {
-				push(item{door: b, dist: it.dist + w})
+			if w, ok := rn.shortcut[[2]int{u, b}]; ok {
+				sc.Relax(u, b, du+w)
 			}
 		}
-		for _, e := range ix.g.Neighbors(it.door) {
-			if !rn.member[e.To] && !settled[e.To] {
-				push(item{door: e.To, dist: it.dist + e.Weight})
+		for _, e := range ix.g.Neighbors(u) {
+			if !rn.member[e.To] {
+				sc.Relax(u, e.To, du+e.Weight)
 			}
 		}
 	}
-	return best, nil
+	best := graph.Infinity
+	for _, d := range v.Partition(t.Partition).Doors {
+		if dd := sc.Dist(int(d)); dd != graph.Infinity {
+			best = min(best, dd+v.DistToDoor(t, d))
+		}
+	}
+	return best
 }
 
 // IndexObjects registers objects for kNN/range queries.
@@ -292,8 +253,9 @@ func (ix *Index) Range(q model.Location, r float64) []index.ObjectResult {
 
 func (ix *Index) allDistances(q model.Location) []index.ObjectResult {
 	out := make([]index.ObjectResult, 0, len(ix.objects))
+	var sc graph.SearchScratch
 	for id, o := range ix.objects {
-		out = append(out, index.ObjectResult{ObjectID: id, Dist: ix.Distance(q, o)})
+		out = append(out, index.ObjectResult{ObjectID: id, Dist: ix.search(&sc, q, o)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {

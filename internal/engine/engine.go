@@ -7,8 +7,9 @@
 // (any of the six implementations — IP-Tree, VIP-Tree, DistMx, DistAw,
 // G-tree, ROAD) plus an optional object querier for kNN and range queries,
 // and is safe for use by many goroutines at once: the distance indexes are
-// read-only after construction and the hot paths draw their scratch from
-// sync.Pool, so parallel callers neither race nor contend on allocations.
+// read-only after construction and the IP-Tree/VIP-Tree hot paths recycle
+// their scratch through lock-free free lists, so parallel callers neither
+// race nor contend on allocations or locks.
 //
 // When the object querier is mutable (index.MutableObjectIndexer — the
 // IP-Tree/VIP-Tree object index), the engine additionally executes object

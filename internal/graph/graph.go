@@ -1,7 +1,9 @@
 // Package graph provides the weighted-graph machinery shared by every index
 // in this repository: a compact adjacency-list graph over dense integer
-// vertex identifiers, a binary-heap priority queue and several Dijkstra
-// variants (full, early-termination, multi-target, bounded).
+// vertex identifiers and the one Dijkstra search every index runs on it
+// (SearchScratch: multi-source, optionally stopped at a target set, on
+// caller-owned buffers), with thin single-source and point-to-point
+// wrappers.
 //
 // The door-to-door (D2D) graph, the accessibility base (AB) graph and the
 // level-l graphs used to build IP-Tree distance matrices (Section 2.1.2 of

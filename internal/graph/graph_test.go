@@ -168,12 +168,29 @@ func TestFromSource(t *testing.T) {
 			t.Errorf("dist[%d] = %v, want %v", v, dist[v], want)
 		}
 	}
-	if p := PathOnPrev(prev, 0, 3); len(p) != 3 || p[0] != 0 || p[2] != 3 {
-		t.Errorf("PathOnPrev = %v", p)
+	if prev[0] != -1 {
+		t.Errorf("prev[source] = %d, want -1", prev[0])
 	}
-	if p := PathOnPrev(prev, 0, 0); len(p) != 1 || p[0] != 0 {
-		t.Errorf("PathOnPrev to source = %v", p)
+	hops := 0
+	for v := 3; v != 0; v = prev[v] {
+		if v == -1 || hops > 3 {
+			t.Fatalf("predecessor chain from 3 does not reach the source: %v", prev)
+		}
+		hops++
 	}
+	if hops != 2 {
+		t.Errorf("predecessor chain from 3 has %d hops, want 2", hops)
+	}
+}
+
+// searchToTargets runs the kernel from s until every target is settled.
+func searchToTargets(g *Graph, sc *SearchScratch, s int, targets []int) ([]float64, []int) {
+	sc.Reset(g.NumVertices())
+	sc.Seed(s, 0)
+	for _, v := range targets {
+		sc.Target(v)
+	}
+	return sc.Run(g)
 }
 
 func TestToTargets(t *testing.T) {
@@ -183,7 +200,8 @@ func TestToTargets(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	dist, _ := g.ToTargets(0, []int{1, 2})
+	var sc SearchScratch
+	dist, _ := searchToTargets(g, &sc, 0, []int{1, 2})
 	if dist[1] != 1 || dist[2] != 2 {
 		t.Errorf("target dists = %v, %v", dist[1], dist[2])
 	}
@@ -193,35 +211,19 @@ func TestToTargets(t *testing.T) {
 		t.Errorf("dist[5] = %v, expected Infinity (not explored)", dist[5])
 	}
 	// Out-of-range targets are ignored.
-	dist, _ = g.ToTargets(0, []int{99, 3})
+	dist, _ = searchToTargets(g, &sc, 0, []int{99, 3})
 	if dist[3] != 3 {
 		t.Errorf("dist[3] = %v, want 3", dist[3])
 	}
 }
 
-func TestBounded(t *testing.T) {
-	g := New(6)
-	for i := 0; i < 5; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	got := g.Bounded(0, 2.5)
-	if len(got) != 3 {
-		t.Fatalf("Bounded settled %d vertices, want 3: %v", len(got), got)
-	}
-	for v, want := range map[int]float64{0: 0, 1: 1, 2: 2} {
-		if got[v] != want {
-			t.Errorf("Bounded[%d] = %v, want %v", v, got[v], want)
-		}
-	}
-	if len(g.Bounded(-1, 10)) != 0 {
-		t.Error("Bounded with invalid source should return empty map")
-	}
-}
-
 func TestDijkstraAgainstFloydWarshallRandom(t *testing.T) {
 	// Property test: on random graphs Dijkstra's point-to-point distance
-	// must equal the Floyd–Warshall all-pairs answer.
+	// must equal the Floyd–Warshall all-pairs answer, and so must the
+	// kernel's full shape — several seeds at random start offsets, stopped
+	// at a random target subset.
 	rng := rand.New(rand.NewSource(42))
+	var sc SearchScratch // reused across graphs of every size
 	for iter := 0; iter < 20; iter++ {
 		n := 2 + rng.Intn(30)
 		g := New(n)
@@ -287,17 +289,62 @@ func TestDijkstraAgainstFloydWarshallRandom(t *testing.T) {
 				t.Fatalf("path weight %v != dist %v", sum, gd)
 			}
 		}
+		for trial := 0; trial < 10; trial++ {
+			sc.Reset(n)
+			offset := map[int]float64{} // smallest start offset per seed
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				v, off := rng.Intn(n), rng.Float64()*20
+				sc.Seed(v, off)
+				if cur, ok := offset[v]; !ok || off < cur {
+					offset[v] = off
+				}
+			}
+			targets := rng.Perm(n)[:1+rng.Intn(n)]
+			for _, v := range targets {
+				sc.Target(v)
+			}
+			sc.Run(g)
+			for _, v := range targets {
+				want := Infinity
+				for s, off := range offset {
+					if fw[s][v] != Infinity && off+fw[s][v] < want {
+						want = off + fw[s][v]
+					}
+				}
+				got := sc.Dist(v)
+				if got == Infinity || math.Abs(got-want) > 1e-9 {
+					t.Fatalf("iter %d: seeded dist(%d) = %v, min over seeds of offset + Floyd–Warshall = %v", iter, v, got, want)
+				}
+				// The predecessor walk must be a chain of real edges from
+				// a seed whose offset plus edge weights is the distance.
+				path := AppendPath([]int(nil), &sc, v)
+				sum, ok := offset[path[0]]
+				if !ok {
+					t.Fatalf("iter %d: path %v to target %d starts at a non-seed", iter, path, v)
+				}
+				for i := 1; i < len(path); i++ {
+					w, ok := g.EdgeWeight(path[i-1], path[i])
+					if !ok {
+						t.Fatalf("iter %d: path %v contains non-edge %d-%d", iter, path, path[i-1], path[i])
+					}
+					sum += w
+				}
+				if math.Abs(sum-got) > 1e-9 {
+					t.Fatalf("iter %d: path %v weighs %v with its seed offset, dist %v", iter, path, sum, got)
+				}
+			}
+		}
 	}
 }
 
 func TestMinHeapOrdering(t *testing.T) {
-	h := newMinHeap(4)
+	var h minHeap
 	values := []float64{5, 3, 8, 1, 9, 2, 7}
 	for i, v := range values {
 		h.Push(i, v)
 	}
 	prev := -1.0
-	for h.Len() > 0 {
+	for len(h.items) > 0 {
 		_, d := h.PopMin()
 		if d < prev {
 			t.Fatalf("heap returned %v after %v", d, prev)
@@ -313,14 +360,16 @@ func TestMemoryBytesPositive(t *testing.T) {
 	}
 }
 
-// TestToTargetsIntoMatchesToTargets is the property test for the recycled-
-// scratch Dijkstra: a single SearchScratch reused across many runs on random
-// graphs must reproduce the fresh-state ToTargets answers exactly, including
-// predecessor arrays. This is what makes scratch reuse safe for the matrix
-// builder, which runs thousands of localised searches per tree.
-func TestToTargetsIntoMatchesToTargets(t *testing.T) {
+// TestSearchScratchReuseMatchesFresh is the property test for the recycled
+// kernel scratch: a single SearchScratch reused across many multi-seed,
+// targeted searches on random graphs of varying size must reproduce a fresh
+// scratch's answers exactly, including predecessor chains. This is what
+// makes scratch reuse safe for the matrix builder, which runs thousands of
+// localised searches per tree, and for the per-query scratch of the
+// same-leaf searches.
+func TestSearchScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var sc SearchScratch
+	var reused SearchScratch
 	for iter := 0; iter < 30; iter++ {
 		n := 2 + rng.Intn(40)
 		g := New(n)
@@ -334,19 +383,33 @@ func TestToTargetsIntoMatchesToTargets(t *testing.T) {
 			}
 		}
 		for run := 0; run < 5; run++ {
-			src := rng.Intn(n)
+			seeds := make([]int, 1+rng.Intn(3))
+			offsets := make([]float64, len(seeds))
+			for i := range seeds {
+				seeds[i], offsets[i] = rng.Intn(n), rng.Float64()*5
+			}
 			targets := make([]int, 1+rng.Intn(n))
 			for i := range targets {
 				targets[i] = rng.Intn(n)
 			}
-			wantDist, wantPrev := g.ToTargets(src, targets)
-			gotDist, gotPrev := g.ToTargetsInto(src, targets, &sc)
+			var fresh SearchScratch
+			search := func(sc *SearchScratch) ([]float64, []int) {
+				sc.Reset(n)
+				for i, s := range seeds {
+					sc.Seed(s, offsets[i])
+				}
+				for _, v := range targets {
+					sc.Target(v)
+				}
+				return sc.Run(g)
+			}
+			wantDist, wantPrev := search(&fresh)
+			gotDist, gotPrev := search(&reused)
 			for _, v := range targets {
 				if gotDist[v] != wantDist[v] {
 					t.Fatalf("iter %d run %d: dist[%d] = %v, want %v", iter, run, v, gotDist[v], wantDist[v])
 				}
-				// The predecessor chain must reach src with the same hops.
-				for cur := v; cur != src && wantPrev[cur] != -1; cur = wantPrev[cur] {
+				for cur := v; cur != -1; cur = wantPrev[cur] {
 					if gotPrev[cur] != wantPrev[cur] {
 						t.Fatalf("iter %d run %d: prev[%d] = %d, want %d", iter, run, cur, gotPrev[cur], wantPrev[cur])
 					}
@@ -356,10 +419,10 @@ func TestToTargetsIntoMatchesToTargets(t *testing.T) {
 	}
 }
 
-// TestToTargetsIntoAllocFree checks that warm reuse of a SearchScratch does
-// not allocate: after the first run sized the buffers, repeated searches
-// reuse them (heap included).
-func TestToTargetsIntoAllocFree(t *testing.T) {
+// TestSearchScratchWarmAllocFree checks that warm reuse of a SearchScratch
+// does not allocate: after the first search sized the buffers, repeated
+// searches and path walks into a sized buffer reuse them (heap included).
+func TestSearchScratchWarmAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 64
 	g := New(n)
@@ -374,13 +437,24 @@ func TestToTargetsIntoAllocFree(t *testing.T) {
 	}
 	targets := []int{0, n / 2, n - 1}
 	var sc SearchScratch
-	g.ToTargetsInto(0, targets, &sc) // size the buffers
+	path := make([]int, 0, n)
+	search := func(src int) {
+		sc.Reset(n)
+		sc.Seed(src, 0)
+		sc.Seed((src+1)%n, 0.5)
+		for _, v := range targets {
+			sc.Target(v)
+		}
+		sc.Run(g)
+		path = AppendPath(path[:0], &sc, n-1)
+	}
+	search(0) // size the buffers
 	src := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		g.ToTargetsInto(src%n, targets, &sc)
+		search(src % n)
 		src++
 	})
 	if allocs != 0 {
-		t.Errorf("warm ToTargetsInto allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm kernel search allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -81,40 +81,6 @@ func TestQuickPathMatchesDistance(t *testing.T) {
 	}
 }
 
-// TestQuickBoundedIsPrefixOfFromSource: every vertex settled by Bounded has
-// the same distance as the full single-source run, and nothing beyond the
-// radius is reported.
-func TestQuickBoundedIsPrefixOfFromSource(t *testing.T) {
-	f := func(seed uint64, a uint8, radius float64) bool {
-		g := randomConnectedGraph(seed)
-		n := g.NumVertices()
-		s := int(a) % n
-		r := math.Mod(math.Abs(radius), 50)
-		full, _ := g.FromSource(s)
-		bounded := g.Bounded(s, r)
-		for v, d := range bounded {
-			if d > r+1e-9 {
-				return false
-			}
-			if math.Abs(full[v]-d) > 1e-9 {
-				return false
-			}
-		}
-		// Every vertex within the radius must be present.
-		for v, d := range full {
-			if d <= r && d != Infinity {
-				if _, ok := bounded[v]; !ok {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickToTargetsMatchesFromSource: distances reported for requested
 // targets match the full single-source distances.
 func TestQuickToTargetsMatchesFromSource(t *testing.T) {
@@ -124,7 +90,8 @@ func TestQuickToTargetsMatchesFromSource(t *testing.T) {
 		s := int(a) % n
 		targets := []int{int(b) % n, int(c) % n}
 		full, _ := g.FromSource(s)
-		partial, _ := g.ToTargets(s, targets)
+		var sc SearchScratch
+		partial, _ := searchToTargets(g, &sc, s, targets)
 		for _, t := range targets {
 			if math.Abs(full[t]-partial[t]) > 1e-9 {
 				return false

@@ -24,20 +24,34 @@ func crossLeafPairs(t *Tree, v *model.Venue, n int, seed int64) [][2]model.Locat
 	return out
 }
 
+// sameLeafPairs returns query pairs whose endpoints lie in different
+// partitions of one leaf: the pairs answered by the same-leaf D2D search on
+// the query's own scratch, whose Path returns a non-empty door slice.
+func sameLeafPairs(t *Tree, v *model.Venue, n int, seed int64) [][2]model.Location {
+	rng := rand.New(rand.NewSource(seed))
+	var out [][2]model.Location
+	for attempts := 0; len(out) < n && attempts < 100000; attempts++ {
+		s, d := v.RandomLocation(rng), v.RandomLocation(rng)
+		if s.Partition != d.Partition && t.Leaf(s.Partition) == t.Leaf(d.Partition) {
+			out = append(out, [2]model.Location{s, d})
+		}
+	}
+	return out
+}
+
 // TestVIPDistanceZeroAlloc is the allocation-regression test for the warm
-// VIP-Tree Distance path: once the scratch pool is warm, cross-leaf distance
+// VIP-Tree Distance path: once the scratch free list is warm, cross-leaf distance
 // queries must not allocate at all.
 func TestVIPDistanceZeroAlloc(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	vt := MustBuildVIPTree(v, Options{})
 	pairs := crossLeafPairs(vt.Tree, v, 32, 2)
 	if len(pairs) == 0 {
 		t.Skip("no cross-leaf pairs in this venue")
 	}
-	// Warm the scratch pool across all pairs before measuring.
+	// Warm the scratch free list across all pairs before measuring.
 	for _, p := range pairs {
 		vt.Distance(p[0], p[1])
 	}
@@ -54,12 +68,12 @@ func TestVIPDistanceZeroAlloc(t *testing.T) {
 
 // TestVIPDistanceZeroAllocAnyPair extends the zero-alloc guarantee to
 // arbitrary location pairs: the same-partition and same-leaf fallbacks (a
-// direct computation and a pooled D2D expansion) must not allocate either.
+// direct computation and a D2D search on the query's scratch) must not
+// allocate either.
 func TestVIPDistanceZeroAllocAnyPair(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-any", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	vt := MustBuildVIPTree(v, Options{})
 	rng := rand.New(rand.NewSource(4))
 	pairs := make([][2]model.Location, 64)
@@ -81,12 +95,11 @@ func TestVIPDistanceZeroAllocAnyPair(t *testing.T) {
 }
 
 // TestIPDistanceZeroAlloc asserts the same property for the plain IP-Tree
-// Distance path, which shares the pooled dense scratch.
+// Distance path, which shares the recycled dense scratch.
 func TestIPDistanceZeroAlloc(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-ip", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	tree := MustBuildIPTree(v, Options{})
 	pairs := crossLeafPairs(tree, v, 32, 2)
 	if len(pairs) == 0 {
@@ -107,23 +120,24 @@ func TestIPDistanceZeroAlloc(t *testing.T) {
 }
 
 // TestIPPathAllocsResultSliceOnly is the allocation-regression test for the
-// warm IP-Tree Path hot path: the via-chain unwind, the partial path and
-// the iterative Algorithm-4 expansion all run on pooled scratch buffers
-// (pathScratch), so the only allocation of a warm cross-leaf query is the
-// returned door slice.
+// warm IP-Tree Path hot path: the via-chain unwind, the partial path, the
+// iterative Algorithm-4 expansion and the same-leaf D2D search all run on
+// recycled scratch buffers (pathScratch), so the only allocation of a warm
+// cross-leaf or same-leaf query is the returned door slice.
 func TestIPPathAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-path", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	tree := MustBuildIPTree(v, Options{})
 	pairs := crossLeafPairs(tree, v, 32, 2)
-	if len(pairs) == 0 {
-		t.Skip("no cross-leaf pairs in this venue")
+	same := sameLeafPairs(tree, v, 32, 3)
+	if len(pairs) == 0 || len(same) == 0 {
+		t.Skip("no cross-leaf or no same-leaf pairs in this venue")
 	}
+	pairs = append(pairs, same...)
 	for _, p := range pairs {
 		if _, doors := tree.Path(p[0], p[1]); len(doors) == 0 {
-			t.Fatal("cross-leaf Path returned no doors; venue unsuitable for the alloc test")
+			t.Fatal("Path returned no doors; venue unsuitable for the alloc test")
 		}
 	}
 	i := 0
@@ -138,21 +152,22 @@ func TestIPPathAllocsResultSliceOnly(t *testing.T) {
 }
 
 // TestVIPPathAllocsResultSliceOnly asserts the same property for the
-// VIP-Tree Path, whose per-door next-hop expansion shares the pooled
-// buffers.
+// VIP-Tree Path, whose per-door next-hop expansion and same-leaf search
+// share the recycled buffers.
 func TestVIPPathAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-path-vip", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	vt := MustBuildVIPTree(v, Options{})
 	pairs := crossLeafPairs(vt.Tree, v, 32, 2)
-	if len(pairs) == 0 {
-		t.Skip("no cross-leaf pairs in this venue")
+	same := sameLeafPairs(vt.Tree, v, 32, 3)
+	if len(pairs) == 0 || len(same) == 0 {
+		t.Skip("no cross-leaf or no same-leaf pairs in this venue")
 	}
+	pairs = append(pairs, same...)
 	for _, p := range pairs {
 		if _, doors := vt.Path(p[0], p[1]); len(doors) == 0 {
-			t.Fatal("cross-leaf Path returned no doors; venue unsuitable for the alloc test")
+			t.Fatal("Path returned no doors; venue unsuitable for the alloc test")
 		}
 	}
 	i := 0
@@ -167,15 +182,14 @@ func TestVIPPathAllocsResultSliceOnly(t *testing.T) {
 }
 
 // TestKNNAllocsResultSliceOnly is the allocation-regression test for the
-// warm kNN path (Algorithm 5): once the scratch pools are warm, the only
+// warm kNN path (Algorithm 5): once the scratch free lists are warm, the only
 // allocation of a query is the returned result slice — the traversal's
 // node-distance cache, priority queue, per-object marks and result
-// accumulator all live in pooled epoch-stamped dense scratch.
+// accumulator all live in recycled epoch-stamped dense scratch.
 func TestKNNAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-knn", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	vt := MustBuildVIPTree(v, Options{})
 	rng := rand.New(rand.NewSource(3))
 	objs := make([]model.Location, 60)
@@ -209,7 +223,6 @@ func TestRangeAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-range", Floors: 4, RoomsPerHallway: 16, Seed: 1,
 	})
-	skipUnderRace(t)
 	vt := MustBuildVIPTree(v, Options{})
 	rng := rand.New(rand.NewSource(5))
 	objs := make([]model.Location, 60)
@@ -232,14 +245,5 @@ func TestRangeAllocsResultSliceOnly(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("warm Range allocates %.1f allocs/op, want <= 1 (the result slice)", allocs)
-	}
-}
-
-// skipUnderRace skips allocation-count assertions when the race detector is
-// active: sync.Pool drops items under the race detector, so pooled scratch
-// appears to allocate.
-func skipUnderRace(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
 	}
 }

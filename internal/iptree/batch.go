@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 )
@@ -189,7 +190,7 @@ func (s *endpointSide) mark(e, lvl int32) {
 // batchState is the shared plan of one batch: the classified and grouped
 // queries, the per-group tree nodes, the distinct endpoints of both sides
 // and the leaf ancestor chains. It is built single-threaded, read-only
-// during the parallel phases, and recycled through Tree.batchPool.
+// during the parallel phases, and recycled through Tree.batchStates.
 type batchState struct {
 	order   []int32 // cross-leaf query indices, group by group
 	groups  []int32 // start offset of every group in order, plus sentinel
@@ -216,16 +217,6 @@ type batchState struct {
 	leafS, leafD []NodeID // per batch index (cross-leaf queries only)
 	keys         []uint64 // packed (leafS, leafD, index) sort keys
 }
-
-func (t *Tree) getBatchState() *batchState {
-	st, _ := t.batchPool.Get().(*batchState)
-	if st == nil {
-		st = &batchState{leafIdx: make(map[NodeID]int32)}
-	}
-	return st
-}
-
-func (t *Tree) putBatchState(st *batchState) { t.batchPool.Put(st) }
 
 // leafFor returns the leafClimb index of leaf, registering it on first
 // sight.
@@ -254,7 +245,10 @@ func (st *batchState) leafFor(t *Tree, leaf NodeID) int32 {
 // Same-partition queries are answered directly into out (they are a single
 // geometric computation).
 func (t *Tree) planBatch(pairs []index.LocationPair, out []float64) *batchState {
-	st := t.getBatchState()
+	st := t.batchStates.get()
+	if st.leafIdx == nil {
+		st.leafIdx = make(map[NodeID]int32)
+	}
 	st.order = st.order[:0]
 	st.groups = st.groups[:0]
 	st.trivial = st.trivial[:0]
@@ -404,7 +398,7 @@ func (t *Tree) planBatch(pairs []index.LocationPair, out []float64) *batchState 
 }
 
 // batchScratch is the per-worker scratch of the batched distance path,
-// recycled through Tree.scratchPoolB.
+// recycled through Tree.batchScratches.
 type batchScratch struct {
 	cb combineScratch
 	// Compact pairing positions of a supergroup's LCA matrix (valid rows of
@@ -417,17 +411,9 @@ type batchScratch struct {
 	fold     []float64
 	foldOf   []int32
 	foldSeen epochStamps
+	// search runs the same-leaf D2D searches of a trivial chunk.
+	search graph.SearchScratch
 }
-
-func (t *Tree) getBatchScratch() *batchScratch {
-	sc, _ := t.scratchPoolB.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
-	}
-	return sc
-}
-
-func (t *Tree) putBatchScratch(sc *batchScratch) { t.scratchPoolB.Put(sc) }
 
 // resizeF64 returns buf resized to n, reallocating only on growth.
 func resizeF64(buf []float64, n int) []float64 {
@@ -463,7 +449,7 @@ func (t *Tree) distanceBatch(pairs []index.LocationPair, out []float64, workers 
 	}
 	_ = out[len(pairs)-1] // fail fast when out is too short
 	st := t.planBatch(pairs, out)
-	defer t.putBatchState(st)
+	defer t.batchStates.put(st)
 	nSrc, nTgt := len(st.src.locs), len(st.tgt.locs)
 	numSuper := len(st.sgStarts) - 1
 	chunks := (len(st.trivial) + trivialChunk - 1) / trivialChunk
@@ -478,7 +464,7 @@ func (t *Tree) distanceBatch(pairs []index.LocationPair, out []float64, workers 
 	}
 	scratches := make([]*batchScratch, workers)
 	for i := range scratches {
-		scratches[i] = t.getBatchScratch()
+		scratches[i] = t.batchScratches.get()
 	}
 	runParallel(nSrc+nTgt, workers, func(w, i int) {
 		if i < nSrc {
@@ -495,12 +481,13 @@ func (t *Tree) distanceBatch(pairs []index.LocationPair, out []float64, workers 
 		}
 		j := (i - numSuper) * trivialChunk
 		end := min(j+trivialChunk, len(st.trivial))
+		sc := scratches[w]
 		for _, qi := range st.trivial[j:end] {
-			out[qi] = d2d.LocationDist(pairs[qi].S, pairs[qi].T)
+			out[qi], _ = d2d.LocationSearch(&sc.search, pairs[qi].S, pairs[qi].T)
 		}
 	})
 	for _, sc := range scratches {
-		t.putBatchScratch(sc)
+		t.batchScratches.put(sc)
 	}
 }
 

@@ -482,10 +482,8 @@ func (t *Tree) buildOneLeafMatrix(id NodeID, sc *leafScratch, superiorDoors [][]
 
 	sc.inLeaf.reset(v.NumDoors())
 	sc.access.reset(v.NumDoors())
-	sc.targets = sc.targets[:0]
 	for _, d := range doors {
 		sc.inLeaf.mark(int(d))
-		sc.targets = append(sc.targets, int(d))
 	}
 	for _, a := range leaf.AccessDoors {
 		sc.access.mark(int(a))
@@ -508,7 +506,12 @@ func (t *Tree) buildOneLeafMatrix(id NodeID, sc *leafScratch, superiorDoors [][]
 	}
 
 	for ai, a := range leaf.AccessDoors {
-		dist, prev := d2d.ToTargetsInto(int(a), sc.targets, &sc.search)
+		sc.search.Reset(d2d.NumVertices())
+		sc.search.Seed(int(a), 0)
+		for _, d := range doors {
+			sc.search.Target(int(d))
+		}
+		dist, prev := sc.search.Run(d2d)
 		for di, d := range doors {
 			if dist[int(d)] == graph.Infinity {
 				continue
@@ -767,7 +770,12 @@ func (t *Tree) buildNodeMatrix(n *Node, gl *graph.Graph, ls *levelScratch, sc *n
 		if !ok {
 			continue
 		}
-		dist, prev := gl.ToTargetsInto(src, sc.targets, &sc.search)
+		sc.search.Reset(gl.NumVertices())
+		sc.search.Seed(src, 0)
+		for _, v := range sc.targets {
+			sc.search.Target(v)
+		}
+		dist, prev := sc.search.Run(gl)
 		for ti, to := range doors {
 			if to == from {
 				n.Matrix.setAt(fi, fi, 0, NoDoor)

@@ -121,8 +121,6 @@ type leafScratch struct {
 	inLeaf epochStamps
 	// access marks the access doors of the current leaf.
 	access epochStamps
-	// targets is the reusable Dijkstra target list (the leaf's doors).
-	targets []int
 	// supMark[supOffset[pi]+di] records that door di of the leaf's pi-th
 	// partition has been proven superior; both slices are resized per leaf.
 	supMark   []bool

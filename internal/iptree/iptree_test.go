@@ -363,6 +363,55 @@ func TestSamePartitionAndSameLeafQueries(t *testing.T) {
 			t.Errorf("same-leaf VIP distance = %v, want %v", got, want)
 		}
 	}
+
+	// Sweep: on every same-leaf pair of a uniform sample (the pairs
+	// bench.Pairs draws with seed 11), Path's distance must equal
+	// Distance's bit for bit, because both come from one D2D search, and
+	// the doors must form a walk between the two locations.
+	men := venuegen.Menzies(venuegen.ScaleTiny)
+	ip := MustBuildIPTree(men, Options{})
+	trees := []interface {
+		Distance(s, d model.Location) float64
+		Path(s, d model.Location) (float64, []model.DoorID)
+	}{ip, NewVIPTree(ip)}
+	rng := rand.New(rand.NewSource(11))
+	sameLeaf := 0
+	for i := 0; i < 4000; i++ {
+		a, b := men.RandomLocation(rng), men.RandomLocation(rng)
+		if ip.Leaf(a.Partition) != ip.Leaf(b.Partition) {
+			continue
+		}
+		sameLeaf++
+		for ti, tr := range trees {
+			dist := tr.Distance(a, b)
+			pd, doors := tr.Path(a, b)
+			if math.Float64bits(pd) != math.Float64bits(dist) {
+				t.Fatalf("tree %d pair %d: Path distance %v != Distance %v", ti, i, pd, dist)
+			}
+			if a.Partition == b.Partition || dist == Infinite {
+				if len(doors) != 0 {
+					t.Fatalf("tree %d pair %d: doorless path returned doors %v", ti, i, doors)
+				}
+				continue
+			}
+			if !doorOf(men, a.Partition, doors[0]) || !doorOf(men, b.Partition, doors[len(doors)-1]) {
+				t.Fatalf("tree %d pair %d: path %v does not leave %d and enter %d", ti, i, doors, a.Partition, b.Partition)
+			}
+		}
+	}
+	if sameLeaf < 100 {
+		t.Fatalf("only %d same-leaf pairs in the sample", sameLeaf)
+	}
+}
+
+// doorOf reports whether door d belongs to partition p.
+func doorOf(v *model.Venue, p model.PartitionID, d model.DoorID) bool {
+	for _, pd := range v.Partition(p).Doors {
+		if pd == d {
+			return true
+		}
+	}
+	return false
 }
 
 func TestMinDegreeOptionAffectsTreeShape(t *testing.T) {

@@ -56,7 +56,7 @@ var (
 	_ index.ClimbCacheReporter = (*ObjectIndex)(nil)
 )
 
-// objBatchState is the pooled plan state of one KNNBatch/RangeBatch call.
+// objBatchState is the recycled plan state of one KNNBatch/RangeBatch call.
 type objBatchState struct {
 	// srcOf[i] is the distinct-source ordinal of query i; order lists the
 	// query indices grouped by that ordinal (starts/cursor are the counting
@@ -74,16 +74,6 @@ type objBatchState struct {
 	blockOff []int32
 	arena    []float64
 }
-
-func (oi *ObjectIndex) getObjBatchState() *objBatchState {
-	bs, _ := oi.obPool.Get().(*objBatchState)
-	if bs == nil {
-		bs = &objBatchState{}
-	}
-	return bs
-}
-
-func (oi *ObjectIndex) putObjBatchState(bs *objBatchState) { oi.obPool.Put(bs) }
 
 // growI32 returns buf resized to n entries, reallocating only on growth.
 func growI32(buf []int32, n int) []int32 {
@@ -198,8 +188,8 @@ func (oi *ObjectIndex) RangeBatch(queries []index.RangeQuery, out [][]index.Obje
 // the source's block). run must write only query-owned state.
 func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Location, run func(group []int32, qLeaf NodeID, oc *objScratch)) {
 	t := oi.tree
-	bs := oi.getObjBatchState()
-	defer oi.putObjBatchState(bs)
+	bs := oi.objBatchStates.get()
+	defer oi.objBatchStates.put(bs)
 	bs.src.reset(t.venue.NumPartitions())
 
 	// Plan: dedup sources and group query indices by distinct source.
@@ -264,7 +254,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 		}
 		sc := scs[w]
 		if sc == nil {
-			sc = t.getDistScratch()
+			sc = t.distScratches.get()
 			scs[w] = sc
 		}
 		blk := bs.arena[bs.blockOff[e]:bs.blockOff[e+1]]
@@ -274,7 +264,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	})
 	for _, sc := range scs {
 		if sc != nil {
-			t.putDistScratch(sc)
+			t.distScratches.put(sc)
 		}
 	}
 
@@ -285,7 +275,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	runParallel(nSrc, maxW, func(w, e int) {
 		oc := ocs[w]
 		if oc == nil {
-			oc = oi.getObjScratch()
+			oc = oi.objScratches.get()
 			ocs[w] = oc
 		}
 		leaf := bs.leafOf[e]
@@ -305,7 +295,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	})
 	for _, oc := range ocs {
 		if oc != nil {
-			oi.putObjScratch(oc)
+			oi.objScratches.put(oc)
 		}
 	}
 }

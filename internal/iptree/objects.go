@@ -192,15 +192,15 @@ type ObjectIndex struct {
 	// alive is the number of live objects.
 	alive int
 
-	// scratchPool recycles per-query traversal scratch (objScratch), keeping
-	// warm kNN/Range queries down to the result-slice allocation and safe
-	// for concurrent callers.
-	scratchPool sync.Pool
+	// objScratches recycles per-query traversal scratch, keeping warm
+	// kNN/Range queries down to the result-slice allocation and safe for
+	// concurrent callers.
+	objScratches freeList[objScratch]
 
-	// obPool recycles the per-batch plan state of KNNBatch/RangeBatch
-	// (objbatch.go): the source dedup set, grouping arrays and the climb
-	// block arena.
-	obPool sync.Pool
+	// objBatchStates recycles the per-batch plan state of
+	// KNNBatch/RangeBatch (objbatch.go): the source dedup set, grouping
+	// arrays and the climb block arena.
+	objBatchStates freeList[objBatchState]
 }
 
 // objApplier adapts ObjectIndex to updatelog.Applier without exporting the
@@ -695,19 +695,19 @@ func popQueued(h []queuedNode) ([]queuedNode, queuedNode) {
 
 // branchAndBound is the shared best-first traversal: with k > 0 it behaves as
 // a kNN search (radius ignored unless smaller); with k == 0 it collects every
-// object within the radius. All working state lives in pooled scratch, so the
+// object within the radius. All working state lives in recycled scratch, so the
 // warm path allocates only the returned result slice and the method is safe
 // for concurrent callers — including callers concurrent with updates: the
 // whole traversal reads the pinned epoch, which no update ever mutates.
 func (oi *ObjectIndex) branchAndBound(ep *objEpoch, q model.Location, k int, radius float64) []index.ObjectResult {
 	t := oi.tree
 	// Step 1 (line 2 of Algorithm 5): distances from q to the access doors
-	// of every ancestor of Leaf(q), computed with pooled dense scratch.
+	// of every ancestor of Leaf(q), computed with recycled dense scratch.
 	qLeaf := t.Leaf(q.Partition)
-	sc := t.getDistScratch()
-	defer t.putDistScratch(sc)
-	oc := oi.getObjScratch()
-	defer oi.putObjScratch(oc)
+	sc := t.distScratches.get()
+	defer t.distScratches.put(sc)
+	oc := oi.objScratches.get()
+	defer oi.objScratches.put(oc)
 	sd := &sc.src
 	sd.reset(t.venue.NumDoors())
 	t.distancesToNode(q, t.root, sd)
@@ -761,7 +761,7 @@ func (oi *ObjectIndex) bestFirst(ep *objEpoch, q model.Location, qLeaf NodeID, k
 			}
 		}
 	}
-	// Hand the grown backing arrays back to the scratch before pooling it.
+	// Hand the grown backing arrays back to the scratch before recycling it.
 	oc.heap = heap[:0]
 	out := results.finish()
 	oc.results = results.results[:0]
@@ -857,16 +857,14 @@ func (oi *ObjectIndex) scanLeaf(ep *objEpoch, q model.Location, qLeaf, leaf Node
 	}
 	if leaf == qLeaf {
 		// Objects co-located with the query in the same leaf: compute the
-		// exact local distance on the D2D graph (cheap: the doors involved
-		// are close together).
+		// exact distance with one D2D search per object on the query's own
+		// scratch. These searches dominate kNN and Range: each costs about
+		// as much as a same-leaf Distance (~180 µs on Menzies full, see
+		// Tree.Distance), and with 250 objects a KNN(k=5) there measured
+		// ~3.8 ms on a 2-vCPU Intel Xeon.
+		d2d := t.venue.D2D()
 		for i, id := range lo.ids {
-			o := lo.locs[i]
-			var d float64
-			if o.Partition == q.Partition {
-				d = directIntraPartition(t.venue, q, o)
-			} else {
-				d = t.venue.D2D().LocationDist(q, o)
-			}
+			d, _ := d2d.LocationSearch(&oc.search, q, lo.locs[i])
 			results.add(id, d)
 		}
 		return

@@ -1,6 +1,7 @@
 package iptree
 
 import (
+	"viptree/internal/graph"
 	"viptree/internal/model"
 )
 
@@ -9,7 +10,7 @@ import (
 // and each partial edge is decomposed into final edges with Algorithm 4
 // using the next-hop doors stored in the distance matrices.
 //
-// The whole expansion runs on pooled scratch buffers (pathScratch) with an
+// The whole expansion runs on recycled scratch buffers (pathScratch) with an
 // explicit work stack instead of recursion, so a warm Path query allocates
 // only the returned result slice — the same discipline the Distance and
 // kNN/Range hot paths follow.
@@ -26,28 +27,20 @@ type doorPair struct{ a, b model.DoorID }
 // locations are in the same partition, and starts (ends) with the first
 // (last) door crossed.
 func (t *Tree) Path(s, d model.Location) (float64, []model.DoorID) {
-	sc := t.getDistScratch()
+	sc := t.distScratches.get()
+	defer t.distScratches.put(sc)
+	ps := &sc.path
+	if t.Leaf(s.Partition) == t.Leaf(d.Partition) {
+		return t.sameLeafPath(s, d, ps)
+	}
 	dist, sdS, sdD, pair := t.distanceInternal(s, d, sc)
 	if dist == Infinite {
-		t.putDistScratch(sc)
 		return dist, nil
 	}
-	if sdS == nil {
-		t.putDistScratch(sc)
-		// Same partition (no doors) or same leaf (recover via the D2D
-		// graph, exactly like the distance computation).
-		if s.Partition == d.Partition {
-			return dist, nil
-		}
-		pd, doors := t.venue.D2D().LocationPath(s, d)
-		return pd, doors
-	}
-	ps := &sc.path
 	ps.partial = t.partialPathInto(sdS, sdD, pair, ps.partial[:0])
 	out := t.expandPartialInto(ps.partial, ps)
 	result := make([]model.DoorID, len(out))
 	copy(result, out)
-	t.putDistScratch(sc)
 	return dist, result
 }
 
@@ -161,7 +154,7 @@ func (t *Tree) expandEdgeInto(a, b model.DoorID, out []model.DoorID, ps *pathScr
 	ps.stack = stack[:0]
 	if fail {
 		out = out[:mark]
-		out = t.appendFallbackPath(a, b, out)
+		out = t.appendFallbackPath(a, b, out, &ps.search)
 	}
 	return out
 }
@@ -248,12 +241,17 @@ func (t *Tree) decompositionEntry(a, b model.DoorID) (*Matrix, int, int, bool) {
 }
 
 // appendFallbackPath appends the door sequence between a and b (excluding
-// a) recovered with a plain Dijkstra search on the D2D graph. It is used
-// only for edges the matrices cannot decompose.
-func (t *Tree) appendFallbackPath(a, b model.DoorID, out []model.DoorID) []model.DoorID {
-	_, doors := t.venue.D2D().Path(a, b)
-	if len(doors) == 0 {
+// a) recovered with a plain Dijkstra search on the D2D graph, run on the
+// query's scratch. It is used only for edges the matrices cannot decompose.
+func (t *Tree) appendFallbackPath(a, b model.DoorID, out []model.DoorID, sc *graph.SearchScratch) []model.DoorID {
+	g := t.venue.D2D().Graph
+	sc.Reset(g.NumVertices())
+	sc.Seed(int(a), 0)
+	sc.Target(int(b))
+	if dist, _ := sc.Run(g); dist[b] == graph.Infinity {
 		return append(out, b)
 	}
-	return append(out, doors[1:]...)
+	mark := len(out)
+	out = graph.AppendPath(out, sc, int(b))
+	return append(out[:mark], out[mark+1:]...) // drop a, already emitted
 }

@@ -1,6 +1,9 @@
 package iptree
 
 import (
+	"sync/atomic"
+
+	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 )
@@ -10,8 +13,47 @@ import (
 // is a contiguous index into Venue.Doors), so per-query distance tables are
 // plain slices indexed by door ID instead of map[model.DoorID] scratch maps.
 // Tables are reset in O(1) with an epoch counter and recycled across queries
-// through sync.Pool, making the warm VIP-Tree Distance path allocation-free
-// and safe for concurrent callers.
+// through a lock-free free list, making the warm VIP-Tree Distance path
+// allocation-free and safe for concurrent callers. Each query scratch that
+// can reach a same-leaf D2D search embeds its own graph.SearchScratch, so
+// that search draws on no shared pool either.
+
+// freeListSlots is the capacity of a freeList: one slot per worker of a pool
+// sized to GOMAXPROCS (the default of every worker pool here) on machines of
+// up to 64 cores. Beyond that, a worker allocates its scratch afresh.
+const freeListSlots = 64
+
+// freeList recycles query scratch without a lock: get takes an item by
+// swapping a slot to nil, put returns it by compare-and-swapping an empty
+// slot, and an item that finds every slot full is dropped for the garbage
+// collector. It replaces sync.Pool on the read path, whose first Get or Put
+// after each garbage collection takes a global mutex (readers then contend
+// with each other and with the update storm), and which drops its items
+// under the race detector. The zero value is an empty list.
+type freeList[T any] struct {
+	slots [freeListSlots]atomic.Pointer[T]
+}
+
+// get returns an idle item, or a new zero item when the list is empty.
+func (f *freeList[T]) get() *T {
+	for i := range f.slots {
+		if f.slots[i].Load() != nil {
+			if v := f.slots[i].Swap(nil); v != nil {
+				return v
+			}
+		}
+	}
+	return new(T)
+}
+
+// put returns v to the list, dropping it when every slot is taken.
+func (f *freeList[T]) put(v *T) {
+	for i := range f.slots {
+		if f.slots[i].Load() == nil && f.slots[i].CompareAndSwap(nil, v) {
+			return
+		}
+	}
+}
 
 // doorTable is a dense map from door ID to (distance, via-door), reset in
 // O(1) through an epoch-stamped membership set (see epochStamps in
@@ -130,14 +172,16 @@ func (cb *combineScratch) sweep(mat *Matrix) {
 
 // pathScratch holds the reusable buffers of one shortest-path expansion:
 // the partial via-door skeleton, the expanded door sequence, the
-// target-side segment of the VIP expansion, and the explicit work stack of
-// the iterative Algorithm 4. All four are grown once and recycled, so a
-// warm Path query allocates only its returned result slice.
+// target-side segment of the VIP expansion, the explicit work stack of the
+// iterative Algorithm 4, and the D2D search of same-leaf queries and of
+// edges the matrices cannot decompose. All are grown once and recycled, so
+// a warm Path query allocates only its returned result slice.
 type pathScratch struct {
 	partial []model.DoorID
 	out     []model.DoorID
 	tmp     []model.DoorID
 	stack   []doorPair
+	search  graph.SearchScratch
 }
 
 // distScratch is the reusable state of one IP-Tree distance/path query: the
@@ -146,19 +190,6 @@ type distScratch struct {
 	src, dst sourceDists
 	path     pathScratch
 }
-
-// getDistScratch fetches a scratch from the tree's pool (allocating one only
-// when the pool is empty).
-func (t *Tree) getDistScratch() *distScratch {
-	sc, _ := t.distPool.Get().(*distScratch)
-	if sc == nil {
-		sc = &distScratch{}
-	}
-	return sc
-}
-
-// putDistScratch returns the scratch to the pool for reuse.
-func (t *Tree) putDistScratch(sc *distScratch) { t.distPool.Put(sc) }
 
 // vipSide holds the per-side result of a VIP distance query, aligned with
 // the access doors of the LCA child on that side: dist[i] is the distance
@@ -185,16 +216,6 @@ type vipScratch struct {
 	s, d vipSide
 	path pathScratch
 }
-
-func (vt *VIPTree) getVIPScratch() *vipScratch {
-	sc, _ := vt.vipPool.Get().(*vipScratch)
-	if sc == nil {
-		sc = &vipScratch{}
-	}
-	return sc
-}
-
-func (vt *VIPTree) putVIPScratch(sc *vipScratch) { vt.vipPool.Put(sc) }
 
 // nodeDistTable caches, per tree node, the distances from the query location
 // to the node's access doors (aligned with Node.AccessDoors) — the nodeDists
@@ -237,9 +258,10 @@ func (nt *nodeDistTable) put(n NodeID, size int) []float64 {
 
 // objScratch is the reusable state of one kNN/Range traversal (Algorithm 5):
 // the per-node access-door distance cache, the best-first priority queue, the
-// per-object best distances of leaf scans and the result accumulator. It is
-// recycled through the object index's pool, keeping the warm query path down
-// to a single allocation (the returned result slice).
+// per-object best distances of leaf scans, the D2D search of the query's own
+// leaf and the result accumulator. It is recycled through the object index's
+// free list, keeping the warm query path down to a single allocation (the
+// returned result slice).
 type objScratch struct {
 	nodes nodeDistTable
 	heap  []queuedNode
@@ -253,6 +275,8 @@ type objScratch struct {
 	// of the combination loop.
 	cmBase []float64
 	cmRows []int32
+	// search runs scanLeaf's exact D2D searches in the query's own leaf.
+	search graph.SearchScratch
 }
 
 // bumpObjEpoch starts a fresh per-object marking generation for a set of n
@@ -263,13 +287,3 @@ func (sc *objScratch) bumpObjEpoch(n int) {
 	}
 	sc.objSeen.reset(n)
 }
-
-func (oi *ObjectIndex) getObjScratch() *objScratch {
-	sc, _ := oi.scratchPool.Get().(*objScratch)
-	if sc == nil {
-		sc = &objScratch{}
-	}
-	return sc
-}
-
-func (oi *ObjectIndex) putObjScratch(sc *objScratch) { oi.scratchPool.Put(sc) }

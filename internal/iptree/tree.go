@@ -24,7 +24,6 @@ package iptree
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"viptree/internal/index"
@@ -126,17 +125,17 @@ type Tree struct {
 	// it at the end of construction and restore.
 	pk *packed
 
-	// distPool recycles per-query scratch (dense door tables), keeping the
-	// warm Distance/Path/KNN paths allocation-free and safe for concurrent
-	// callers.
-	distPool sync.Pool
+	// distScratches recycles per-query scratch (dense door tables and the
+	// same-leaf search), keeping the warm Distance/Path/KNN paths
+	// allocation-free and safe for concurrent callers.
+	distScratches freeList[distScratch]
 
-	// batchPool recycles the per-batch plan state of the batched distance
+	// batchStates recycles the per-batch plan state of the batched distance
 	// path (batch.go): grouping arrays, endpoint sets, leaf climb chains
-	// and the table arenas. scratchPoolB recycles the per-worker scratch
-	// (combine buffers and pairing-position gathers).
-	batchPool    sync.Pool
-	scratchPoolB sync.Pool
+	// and the table arenas. batchScratches recycles the per-worker scratch
+	// (combine buffers, pairing-position gathers and the same-leaf search).
+	batchStates    freeList[batchState]
+	batchScratches freeList[batchScratch]
 
 	// climb is the tree-lifetime cache of Algorithm-2 climb blocks consulted
 	// by the batched kNN/range path (climbcache.go). Climb blocks depend

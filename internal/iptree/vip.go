@@ -1,7 +1,6 @@
 package iptree
 
 import (
-	"sync"
 	"time"
 
 	"viptree/internal/model"
@@ -21,9 +20,9 @@ type VIPTree struct {
 	// slab of first-door IDs, indexed by per-door offsets. Materialisation
 	// and snapshot restore write straight into it.
 	vpk *vipPacked
-	// vipPool recycles per-query scratch, keeping the warm Distance path
-	// allocation-free and safe for concurrent callers.
-	vipPool sync.Pool
+	// vipScratches recycles per-query scratch, keeping the warm Distance
+	// path allocation-free and safe for concurrent callers.
+	vipScratches freeList[vipScratch]
 }
 
 // BuildVIPTree constructs a VIP-Tree over the venue.
@@ -253,21 +252,25 @@ func (vt *VIPTree) entriesOffset(d model.DoorID, node NodeID) (int, bool) {
 // Distance implements the VIP-Tree shortest-distance query (Section 3.1.2):
 // O(ρ²) lookups via the superior doors of the two partitions and the
 // materialised distances to the LCA children's access doors. The warm path
-// performs no allocations; scratch is recycled through a pool, so the method
-// is safe for concurrent callers.
+// performs no allocations; scratch is recycled through a lock-free free
+// list, so the method is safe for concurrent callers.
 func (vt *VIPTree) Distance(s, d model.Location) float64 {
-	sc := vt.getVIPScratch()
-	res := vt.vipQuery(s, d, sc)
-	vt.putVIPScratch(sc)
-	return res.dist
+	sc := vt.vipScratches.get()
+	var dist float64
+	if vt.Leaf(s.Partition) == vt.Leaf(d.Partition) {
+		dist, _ = vt.venue.D2D().LocationSearch(&sc.path.search, s, d)
+	} else {
+		dist = vt.vipQuery(s, d, sc).dist
+	}
+	vt.vipScratches.put(sc)
+	return dist
 }
 
-// vipResult is the outcome of one VIP distance computation. When cross is
-// true the query crossed leaves and the pair/sup/node fields identify the
-// optimal skeleton used by Path; the side data lives in the query scratch.
+// vipResult is the outcome of one cross-leaf VIP distance computation: the
+// pair/sup/node fields identify the optimal skeleton used by Path; the side
+// data lives in the query scratch.
 type vipResult struct {
-	dist  float64
-	cross bool
+	dist float64
 	// pair is the pair of LCA-children access doors realising the minimum.
 	pair [2]model.DoorID
 	// supS, supD are the superior doors of the source and target partitions
@@ -277,19 +280,13 @@ type vipResult struct {
 	nodeS, nodeD NodeID
 }
 
-// vipQuery computes the shortest distance between s and d using the
-// materialised entries, writing per-side scratch into sc and tracking the
-// optimal path skeleton.
+// vipQuery computes the shortest distance between s and d, which lie in
+// different leaves, using the materialised entries, writing per-side scratch
+// into sc and tracking the optimal path skeleton.
 func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 	t := vt.Tree
-	if s.Partition == d.Partition {
-		return vipResult{dist: directIntraPartition(t.venue, s, d)}
-	}
 	leafS := t.Leaf(s.Partition)
 	leafD := t.Leaf(d.Partition)
-	if leafS == leafD {
-		return vipResult{dist: t.venue.D2D().LocationDist(s, d)}
-	}
 	lca := t.LCA(leafS, leafD)
 	ns := t.ChildToward(lca, leafS)
 	nt := t.ChildToward(lca, leafD)
@@ -299,7 +296,7 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 	vt.sideDistances(s, ns, sc.s.dist, sc.s.via)
 	vt.sideDistances(d, nt, sc.d.dist, sc.d.via)
 	mat := t.nodes[lca].Matrix
-	res := vipResult{dist: Infinite, cross: true, nodeS: ns, nodeD: nt,
+	res := vipResult{dist: Infinite, nodeS: ns, nodeD: nt,
 		pair: [2]model.DoorID{NoDoor, NoDoor}, supS: NoDoor, supD: NoDoor}
 	// The positions of both children's access doors among the LCA matrix
 	// rows/columns are precomputed, so the double loop sweeps the matrix
@@ -382,24 +379,19 @@ func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, dist []float64
 // the optimal path, the materialised next-hop doors expand the segments
 // between a door and an ancestor access door, and Algorithm 4 expands the
 // segment across the LCA. Like the IP-Tree Path, the expansion runs on
-// pooled scratch and allocates only the returned slice.
+// recycled scratch and allocates only the returned slice.
 func (vt *VIPTree) Path(s, d model.Location) (float64, []model.DoorID) {
 	t := vt.Tree
-	sc := vt.getVIPScratch()
+	sc := vt.vipScratches.get()
+	defer vt.vipScratches.put(sc)
+	ps := &sc.path
+	if t.Leaf(s.Partition) == t.Leaf(d.Partition) {
+		return t.sameLeafPath(s, d, ps)
+	}
 	res := vt.vipQuery(s, d, sc)
 	if res.dist == Infinite {
-		vt.putVIPScratch(sc)
 		return res.dist, nil
 	}
-	if !res.cross {
-		vt.putVIPScratch(sc)
-		if s.Partition == d.Partition {
-			return res.dist, nil
-		}
-		pd, doors := t.venue.D2D().LocationPath(s, d)
-		return pd, doors
-	}
-	ps := &sc.path
 	out := vt.expandToAncestorDoorInto(res.supS, res.nodeS, res.pair[0], ps.out[:0], ps)
 	out = t.expandEdgeInto(res.pair[0], res.pair[1], out, ps)
 	back := vt.expandToAncestorDoorInto(res.supD, res.nodeD, res.pair[1], ps.tmp[:0], ps)
@@ -411,7 +403,6 @@ func (vt *VIPTree) Path(s, d model.Location) (float64, []model.DoorID) {
 	ps.out = out
 	result := make([]model.DoorID, len(out))
 	copy(result, out)
-	vt.putVIPScratch(sc)
 	return res.dist, result
 }
 

@@ -12,13 +12,14 @@ import (
 // Outdoor edges (e.g. between building entrances) are added verbatim.
 //
 // The vertex identifier of door d is int(d). The graph is immutable after
-// construction; expansion scratch is pooled, so queries are allocation-free
-// on the warm path and safe for concurrent callers.
+// construction; the search scratch of LocationDist and LocationPath is
+// pooled, so both are safe for concurrent callers.
 type D2DGraph struct {
 	Graph *graph.Graph
 	venue *Venue
 
-	// searchPool recycles the dense Dijkstra scratch of LocationDist.
+	// searchPool recycles the *graph.SearchScratch of LocationDist and
+	// LocationPath.
 	searchPool sync.Pool
 }
 
@@ -38,7 +39,9 @@ func buildD2D(v *Venue) *D2DGraph {
 	for _, e := range v.OutdoorEdges {
 		g.AddEdge(int(e.From), int(e.To), e.Weight)
 	}
-	return &D2DGraph{Graph: g, venue: v}
+	d := &D2DGraph{Graph: g, venue: v}
+	d.searchPool.New = func() any { return new(graph.SearchScratch) }
+	return d
 }
 
 // D2D returns the door-to-door graph of the venue. The graph is built once by
@@ -67,218 +70,69 @@ func (d *D2DGraph) Path(a, b DoorID) (float64, []DoorID) {
 }
 
 // LocationDist computes the exact shortest indoor distance between two
-// arbitrary locations by Dijkstra expansion over the D2D graph. It is the
-// ground truth against which all indexes are verified, and also the engine
-// of the DistAw baseline.
-//
-// If s and t are in the same partition the distance is the direct
-// intra-partition distance (possibly beaten by a path leaving and re-entering
-// through doors, which cannot happen with convex partitions, so the direct
-// distance is used).
+// arbitrary locations by Dijkstra expansion over the D2D graph (see
+// LocationSearch). It is the ground truth against which all indexes are
+// verified, and also the engine of the DistAw baseline.
 func (d *D2DGraph) LocationDist(s, t Location) float64 {
-	v := d.venue
-	if s.Partition == t.Partition {
-		return directIntraDist(v, s, t)
-	}
-	// Temporary virtual vertices would complicate the graph; instead run a
-	// multi-source expansion seeded with the distances from s to the doors
-	// of its partition (a single Dijkstra from a virtual source), and finish
-	// once the doors of t's partition are settled.
-	sp := v.Partition(s.Partition)
-	tp := v.Partition(t.Partition)
-	sc := d.getSearch()
-	sc.reset(len(v.Doors))
-	for _, did := range sp.Doors {
-		sc.relax(did, v.DistToDoor(s, did))
-	}
-	pending := 0
-	for _, did := range tp.Doors {
-		if sc.markTarget(did) {
-			pending++
-		}
-	}
-	for len(sc.heap) > 0 && pending > 0 {
-		it := sc.pop()
-		if sc.isSettled(it.door) {
-			continue
-		}
-		sc.settle(it.door)
-		if sc.isTarget(it.door) {
-			pending--
-		}
-		for _, e := range d.Graph.Neighbors(int(it.door)) {
-			sc.relax(DoorID(e.To), it.dist+e.Weight)
-		}
-	}
-	best := graph.Infinity
-	for _, did := range tp.Doors {
-		if dv, ok := sc.settledDist(did); ok {
-			total := dv + v.DistToDoor(t, did)
-			if total < best {
-				best = total
-			}
-		}
-	}
-	d.putSearch(sc)
-	return best
+	sc := d.searchPool.Get().(*graph.SearchScratch)
+	dist, _ := d.LocationSearch(sc, s, t)
+	d.searchPool.Put(sc)
+	return dist
 }
 
 // LocationPath computes the exact shortest path between two locations as the
-// sequence of doors traversed, along with its total length.
+// sequence of doors traversed, along with its total length, which equals
+// LocationDist bit for bit. The sequence is nil when both locations are in
+// the same partition or t is unreachable.
 func (d *D2DGraph) LocationPath(s, t Location) (float64, []DoorID) {
+	sc := d.searchPool.Get().(*graph.SearchScratch)
+	dist, last := d.LocationSearch(sc, s, t)
+	var doors []DoorID
+	if last >= 0 {
+		doors = graph.AppendPath(doors, sc, int(last))
+	}
+	d.searchPool.Put(sc)
+	return dist, doors
+}
+
+// LocationSearch is the search behind LocationDist and LocationPath, run on
+// caller-owned scratch. Locations in one partition are the direct
+// intra-partition distance apart (a path leaving and re-entering through
+// doors cannot beat it in convex partitions). Otherwise it runs one
+// multi-source Dijkstra seeded at the doors of s's partition with the walk
+// from s to each, which stops once every door of t's partition is settled.
+//
+// It returns the distance and the door through which the shortest path
+// enters t's partition; graph.AppendPath(dst, sc, int(last)) then recovers
+// the doors of that path, from the first door crossed to last. last is -1
+// when s and t share a partition or t is unreachable.
+func (d *D2DGraph) LocationSearch(sc *graph.SearchScratch, s, t Location) (dist float64, last DoorID) {
 	v := d.venue
 	if s.Partition == t.Partition {
-		return directIntraDist(v, s, t), nil
+		return directIntraDist(v, s, t), -1
 	}
-	sp := v.Partition(s.Partition)
 	tp := v.Partition(t.Partition)
-	best := graph.Infinity
-	var bestPath []DoorID
-	for _, sd := range sp.Doors {
-		dists, prev := d.Graph.ToTargets(int(sd), doorsToInts(tp.Doors))
-		for _, td := range tp.Doors {
-			dv := dists[int(td)]
-			if dv == graph.Infinity {
-				continue
+	if len(tp.Doors) == 0 { // a search without targets would run to exhaustion
+		return graph.Infinity, -1
+	}
+	sc.Reset(len(v.Doors))
+	for _, did := range v.Partition(s.Partition).Doors {
+		sc.Seed(int(did), v.DistToDoor(s, did))
+	}
+	for _, did := range tp.Doors {
+		sc.Target(int(did))
+	}
+	sc.Run(d.Graph)
+	dist, last = graph.Infinity, -1
+	for _, did := range tp.Doors {
+		if dv := sc.Dist(int(did)); dv != graph.Infinity {
+			if total := dv + v.DistToDoor(t, did); total < dist {
+				dist, last = total, did
 			}
-			total := v.DistToDoor(s, sd) + dv + v.DistToDoor(t, td)
-			if total < best {
-				best = total
-				p := graph.PathOnPrev(prev, int(sd), int(td))
-				bestPath = intsToDoors(p)
-			}
 		}
 	}
-	return best, bestPath
+	return dist, last
 }
-
-// d2dSearch is the reusable dense scratch of one LocationDist expansion: a
-// multi-source Dijkstra over door IDs (which are contiguous ordinals into
-// Venue.Doors). Presence is tracked with epoch stamps so reset is O(1), and
-// the binary heap's backing array is kept across queries, making a warm
-// expansion allocation-free.
-type d2dSearch struct {
-	dist []float64
-	// reachedAt/settledAt/targetAt mark per-door state for the current
-	// epoch: a door is reached/settled/a-target only if its stamp equals
-	// the current epoch.
-	reachedAt []uint32
-	settledAt []uint32
-	targetAt  []uint32
-	epoch     uint32
-	heap      []d2dQItem
-}
-
-type d2dQItem struct {
-	door DoorID
-	dist float64
-}
-
-func (sc *d2dSearch) reset(n int) {
-	if len(sc.dist) < n {
-		sc.dist = make([]float64, n)
-		sc.reachedAt = make([]uint32, n)
-		sc.settledAt = make([]uint32, n)
-		sc.targetAt = make([]uint32, n)
-		sc.epoch = 1
-	} else {
-		sc.epoch++
-		if sc.epoch == 0 { // epoch wrapped: clear the stamps and restart
-			for i := range sc.reachedAt {
-				sc.reachedAt[i] = 0
-				sc.settledAt[i] = 0
-				sc.targetAt[i] = 0
-			}
-			sc.epoch = 1
-		}
-	}
-	sc.heap = sc.heap[:0]
-}
-
-// relax records a candidate distance to door d, pushing it on the heap when
-// it improves the best known distance.
-func (sc *d2dSearch) relax(d DoorID, dist float64) {
-	if sc.settledAt[d] == sc.epoch {
-		return
-	}
-	if sc.reachedAt[d] == sc.epoch && sc.dist[d] <= dist {
-		return
-	}
-	sc.reachedAt[d] = sc.epoch
-	sc.dist[d] = dist
-	sc.push(d2dQItem{door: d, dist: dist})
-}
-
-func (sc *d2dSearch) settle(d DoorID)         { sc.settledAt[d] = sc.epoch }
-func (sc *d2dSearch) isSettled(d DoorID) bool { return sc.settledAt[d] == sc.epoch }
-func (sc *d2dSearch) isTarget(d DoorID) bool  { return sc.targetAt[d] == sc.epoch }
-
-// markTarget marks d as a pending target, reporting whether it was new.
-func (sc *d2dSearch) markTarget(d DoorID) bool {
-	if sc.targetAt[d] == sc.epoch {
-		return false
-	}
-	sc.targetAt[d] = sc.epoch
-	return true
-}
-
-// settledDist returns the settled distance of door d, if the expansion
-// reached it.
-func (sc *d2dSearch) settledDist(d DoorID) (float64, bool) {
-	if sc.settledAt[d] != sc.epoch {
-		return graph.Infinity, false
-	}
-	return sc.dist[d], true
-}
-
-func (sc *d2dSearch) push(it d2dQItem) {
-	sc.heap = append(sc.heap, it)
-	h := sc.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].dist <= h[i].dist {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func (sc *d2dSearch) pop() d2dQItem {
-	h := sc.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	sc.heap = h[:last]
-	h = sc.heap
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		small := l
-		if r := l + 1; r < len(h) && h[r].dist < h[l].dist {
-			small = r
-		}
-		if h[i].dist <= h[small].dist {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
-}
-
-func (d *D2DGraph) getSearch() *d2dSearch {
-	sc, _ := d.searchPool.Get().(*d2dSearch)
-	if sc == nil {
-		sc = &d2dSearch{}
-	}
-	return sc
-}
-
-func (d *D2DGraph) putSearch(sc *d2dSearch) { d.searchPool.Put(sc) }
 
 // directIntraDist is the walking distance between two locations in the same
 // partition.
@@ -288,20 +142,4 @@ func directIntraDist(v *Venue, s, t Location) float64 {
 		return p.TraversalCost
 	}
 	return s.Point.PlanarDist(t.Point)
-}
-
-func doorsToInts(ds []DoorID) []int {
-	out := make([]int, len(ds))
-	for i, d := range ds {
-		out[i] = int(d)
-	}
-	return out
-}
-
-func intsToDoors(vs []int) []DoorID {
-	out := make([]DoorID, len(vs))
-	for i, v := range vs {
-		out[i] = DoorID(v)
-	}
-	return out
 }
