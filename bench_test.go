@@ -1,8 +1,11 @@
-// Benchmarks reproducing the paper's evaluation (Section 4). Each benchmark
-// corresponds to a table or figure; cmd/experiments prints the same figures
-// as tables whose rows mirror the series the paper plots. The venues used
-// here are the small-scale presets so that `go test -bench=.` completes in
-// minutes; cmd/experiments reproduces the full-scale sweep.
+// Benchmarks reproducing the paper's evaluation (Section 4). Each
+// BenchmarkTable*, BenchmarkFig* and BenchmarkAblation* row corresponds to a
+// table or figure: its ns/op is the time the figure plots, and its
+// b.ReportMetric columns carry the figure's other quantities (index sizes,
+// ρ, door pairs per query, venue statistics). The venues are the small-scale
+// presets so that `go test -bench=.` completes in minutes; the replicated and
+// full-scale venues are reached through the -venue and -scale flags of
+// cmd/venuegen, cmd/indexbuild and cmd/queryrunner.
 package viptree_test
 
 import (
@@ -21,8 +24,9 @@ import (
 )
 
 // benchVenueSpecs lists the venues used by the benchmarks: the paper's MC and
-// Men venues at small scale and the campus CL at tiny scale (the replicated
-// -2 variants and the full-scale venues are exercised by cmd/experiments).
+// Men venues at small scale and the campus CL at tiny scale. The replicated
+// -2 variants and the other scales are built by the commands' -venue and
+// -scale flags instead.
 var benchVenueSpecs = []struct {
 	name  string
 	build func() *viptree.Venue
@@ -685,45 +689,72 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkTable1Stats measures IP-Tree construction plus the structural
-// statistics (ρ, f, M) reported in Table 1.
+// statistics of Table 1 on every bench venue, and reports them: doors D,
+// leaves M, height, average and maximum access doors (ρ), average fanout f,
+// and average and maximum superior doors.
 func BenchmarkTable1Stats(b *testing.B) {
-	v := benchVenue("Men")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := viptree.MustBuildIPTree(v)
-		s := t.TreeStats()
-		if s.Leaves == 0 {
-			b.Fatal("no leaves")
-		}
-	}
-}
-
-// BenchmarkTable2VenueGeneration measures synthetic venue generation and the
-// Table 2 statistics computation.
-func BenchmarkTable2VenueGeneration(b *testing.B) {
 	for _, spec := range benchVenueSpecs {
+		v := benchVenue(spec.name)
 		b.Run(spec.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var s viptree.TreeStats
 			for i := 0; i < b.N; i++ {
-				v := spec.build()
-				if v.ComputeStats().Doors == 0 {
-					b.Fatal("empty venue")
+				s = viptree.MustBuildIPTree(v).TreeStats()
+				if s.Leaves == 0 {
+					b.Fatal("no leaves")
 				}
 			}
+			b.ReportMetric(float64(v.NumDoors()), "Doors")
+			b.ReportMetric(float64(s.Leaves), "Leaves")
+			b.ReportMetric(float64(s.Height), "Height")
+			b.ReportMetric(s.AvgAccessDoors, "AvgAccessDoors")
+			b.ReportMetric(float64(s.MaxAccessDoors), "MaxAccessDoors")
+			b.ReportMetric(s.AvgFanout, "AvgFanout")
+			b.ReportMetric(s.AvgSuperiorDoors, "AvgSuperiorDoors")
+			b.ReportMetric(float64(s.MaxSuperiorDoors), "MaxSuperiorDoors")
 		})
 	}
 }
 
+// BenchmarkTable2VenueGeneration measures synthetic venue generation and the
+// Table 2 statistics computation, and reports each venue's statistics:
+// doors, rooms (partitions), D2D edges, floors and maximum out-degree.
+func BenchmarkTable2VenueGeneration(b *testing.B) {
+	for _, spec := range benchVenueSpecs {
+		b.Run(spec.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s viptree.VenueStats
+			for i := 0; i < b.N; i++ {
+				s = spec.build().ComputeStats()
+				if s.Doors == 0 {
+					b.Fatal("empty venue")
+				}
+			}
+			b.ReportMetric(float64(s.Doors), "Doors")
+			b.ReportMetric(float64(s.Partitions), "Partitions")
+			b.ReportMetric(float64(s.D2DEdges), "D2DEdges")
+			b.ReportMetric(float64(s.Floors), "Floors")
+			b.ReportMetric(float64(s.MaxOutDegree), "MaxOutDegree")
+		})
+	}
+}
+
+// fig7Degrees are the minimum degrees t that Fig 7 evaluates.
+var fig7Degrees = []int{2, 10, 20, 60, 100}
+
 // BenchmarkFig7MinDegree measures VIP-Tree construction for the minimum
-// degrees evaluated in Fig 7a.
+// degrees evaluated in Fig 7a and reports the built tree's MemoryBytes.
 func BenchmarkFig7MinDegree(b *testing.B) {
 	v := benchVenue("CL")
-	for _, t := range []int{2, 10, 20, 60, 100} {
+	for _, t := range fig7Degrees {
 		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
 			b.ReportAllocs()
+			var vip *viptree.VIPTree
 			for i := 0; i < b.N; i++ {
-				viptree.MustBuildVIPTreeWithDegree(v, t)
+				vip = viptree.MustBuildVIPTreeWithDegree(v, t)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(vip.MemoryBytes()), "MemoryBytes")
 		})
 	}
 }
@@ -735,7 +766,7 @@ func BenchmarkFig7QueryVsMinDegree(b *testing.B) {
 	pairs := bench.Pairs(toModelVenue(v), 256, 1)
 	points := bench.Points(toModelVenue(v), 64, 2)
 	objs := bench.Objects(toModelVenue(v), 50, 3)
-	for _, t := range []int{2, 20, 100} {
+	for _, t := range fig7Degrees {
 		vip := viptree.MustBuildVIPTreeWithDegree(v, t)
 		oi := vip.IndexObjects(objs)
 		b.Run(fmt.Sprintf("distance/t=%d", t), func(b *testing.B) {
@@ -755,62 +786,76 @@ func BenchmarkFig7QueryVsMinDegree(b *testing.B) {
 }
 
 // BenchmarkFig8Construction measures index construction time for every index
-// (Fig 8a); allocation statistics stand in for the index sizes of Fig 8b
-// (exact sizes are reported by cmd/experiments -exp fig8).
+// (Fig 8a) and reports the built index's MemoryBytes, the index size of
+// Fig 8b.
 func BenchmarkFig8Construction(b *testing.B) {
 	v := benchVenue("MC")
-	b.Run("IP-Tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			viptree.MustBuildIPTree(v)
-		}
-	})
-	b.Run("VIP-Tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			viptree.MustBuildVIPTree(v)
-		}
-	})
-	b.Run("DistMx", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			viptree.BuildDistanceMatrix(v)
-		}
-	})
-	b.Run("G-tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			viptree.BuildGTree(v, viptree.GTreeOptions{})
-		}
-	})
-	b.Run("ROAD", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			viptree.BuildRoad(v, viptree.RoadOptions{})
-		}
-	})
+	builds := []struct {
+		name  string
+		build func() viptree.Index
+	}{
+		{"IP-Tree", func() viptree.Index { return viptree.MustBuildIPTree(v) }},
+		{"VIP-Tree", func() viptree.Index { return viptree.MustBuildVIPTree(v) }},
+		{"DistMx", func() viptree.Index { return viptree.BuildDistanceMatrix(v) }},
+		{"DistAw", func() viptree.Index { return viptree.NewDistAware(v) }},
+		{"G-tree", func() viptree.Index { return viptree.BuildGTree(v, viptree.GTreeOptions{}) }},
+		{"ROAD", func() viptree.Index { return viptree.BuildRoad(v, viptree.RoadOptions{}) }},
+	}
+	for _, bd := range builds {
+		b.Run(bd.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ix viptree.Index
+			for i := 0; i < b.N; i++ {
+				ix = bd.build()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ix.MemoryBytes()), "MemoryBytes")
+		})
+	}
 }
 
-// BenchmarkFig9aPairs measures the DistMx query with and without the
-// no-through-door optimisation (Fig 9a compares the pairs considered).
+// BenchmarkFig9aPairs measures shortest-distance queries of DistMx with and
+// without the no-through-door optimisation and of the VIP-Tree, and reports
+// the door pairs each considers per query (Fig 9a) as AvgPairsPerQuery: the
+// matrices count the candidate pairs they enumerate, and the VIP-Tree
+// considers |SUP(P(s))|·|SUP(P(t))| superior-door pairs.
 func BenchmarkFig9aPairs(b *testing.B) {
 	v := benchVenue("Men")
 	pairs := bench.Pairs(toModelVenue(v), 512, 4)
-	withOpt := viptree.BuildDistanceMatrix(v)
-	noOpt := viptree.BuildDistanceMatrixNoOpt(v)
-	b.Run("DistMx", func(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		mx   *viptree.DistanceMatrix
+	}{
+		{"DistMx", viptree.BuildDistanceMatrix(v)},
+		{"DistMx--", viptree.BuildDistanceMatrixNoOpt(v)},
+	} {
+		// One untimed pass over the pairs, on the fresh counters, so the
+		// average covers the whole pair set at any -benchtime.
+		for _, p := range pairs {
+			m.mx.Distance(p.S, p.T)
+		}
+		avgPairs := m.mx.AvgPairsPerQuery()
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				m.mx.Distance(p.S, p.T)
+			}
+			b.ReportMetric(avgPairs, "AvgPairsPerQuery")
+		})
+	}
+	vip := viptree.MustBuildVIPTree(v)
+	var supPairs float64
+	for _, p := range pairs {
+		supPairs += float64(len(vip.SuperiorDoors(p.S.Partition)) * len(vip.SuperiorDoors(p.T.Partition)))
+	}
+	b.Run("VIP-Tree", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			withOpt.Distance(p.S, p.T)
+			vip.Distance(p.S, p.T)
 		}
-	})
-	b.Run("DistMx--", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			noOpt.Distance(p.S, p.T)
-		}
+		b.ReportMetric(supPairs/float64(len(pairs)), "AvgPairsPerQuery")
 	})
 }
 
@@ -851,16 +896,11 @@ func BenchmarkFig10aShortestPath(b *testing.B) {
 }
 
 // BenchmarkFig10bDistanceEffect measures shortest-path query time per
-// source-target distance bucket Q1..Q5 (Fig 10b) for VIP-Tree, IP-Tree and
-// the expansion baseline.
+// source-target distance bucket Q1..Q5 (Fig 10b) for every index.
 func BenchmarkFig10bDistanceEffect(b *testing.B) {
 	idx := benchIndexes("Men")
 	buckets := bench.BucketedPairs(toModelVenue(benchVenue("Men")), 5, 64, 7)
-	comps := []distCompetitor{
-		{"VIP-Tree", idx.vip.Distance, idx.vip.Path},
-		{"IP-Tree", idx.ip.Distance, idx.ip.Path},
-		{"DistAw", idx.distAw.Distance, idx.distAw.Path},
-	}
+	comps := distCompetitors(idx)
 	for bi, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
@@ -923,27 +963,20 @@ func BenchmarkFig11akNN(b *testing.B) {
 }
 
 // BenchmarkFig11bObjects measures kNN query time for object sets of 10 to 500
-// objects (Fig 11b), for the tree indexes and the expansion baseline.
+// objects (Fig 11b) for every index.
 func BenchmarkFig11bObjects(b *testing.B) {
 	v := benchVenue("Men")
 	points := bench.Points(toModelVenue(v), 128, 10)
 	for _, n := range []int{10, 50, 100, 500} {
 		objs := bench.Objects(toModelVenue(v), n, int64(100+n))
-		idx := benchIndexes("Men")
-		vipOI := idx.vip.IndexObjects(objs)
-		daOI := viptree.NewDistAware(v).IndexObjects(objs)
-		b.Run(fmt.Sprintf("n=%d/VIP-Tree", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				vipOI.KNN(points[i%len(points)], 5)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/DistAw", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				daOI.KNN(points[i%len(points)], 5)
-			}
-		})
+		for _, comp := range objectCompetitors("Men", objs) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, comp.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					comp.knn(points[i%len(points)], 5)
+				}
+			})
+		}
 	}
 }
 
@@ -981,56 +1014,45 @@ func BenchmarkFig11dRange(b *testing.B) {
 	}
 }
 
+// ablationRow times shortest-distance queries over the pairs on one tree
+// variant and reports the variant's average access doors (ρ) as
+// AvgAccessDoors.
+func ablationRow(b *testing.B, name string, vip *viptree.VIPTree, pairs []bench.QueryPair) {
+	rho := vip.TreeStats().AvgAccessDoors
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			vip.Distance(p.S, p.T)
+		}
+		b.ReportMetric(rho, "AvgAccessDoors")
+	})
+}
+
 // BenchmarkAblationSuperiorDoors compares shortest-distance queries with and
 // without the superior-door restriction of Definition 2.
 func BenchmarkAblationSuperiorDoors(b *testing.B) {
 	v := benchVenue("Men")
 	pairs := bench.Pairs(toModelVenue(v), 512, 15)
-	full := viptree.MustBuildVIPTree(v)
 	noSup, err := viptree.BuildVIPTreeWithOptions(v, viptree.TreeOptions{DisableSuperiorDoors: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("superior-doors", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			full.Distance(p.S, p.T)
-		}
-	})
-	b.Run("all-doors", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			noSup.Distance(p.S, p.T)
-		}
-	})
+	ablationRow(b, "superior-doors", viptree.MustBuildVIPTree(v), pairs)
+	ablationRow(b, "all-doors", noSup, pairs)
 }
 
 // BenchmarkAblationMergeHeuristic compares the access-door-minimising merge
-// of Algorithm 1 against a naive merge, both at construction and query time.
+// of Algorithm 1 against a naive merge at query time.
 func BenchmarkAblationMergeHeuristic(b *testing.B) {
 	v := benchVenue("Men")
 	pairs := bench.Pairs(toModelVenue(v), 512, 16)
-	smart := viptree.MustBuildVIPTree(v)
 	naive, err := viptree.BuildVIPTreeWithOptions(v, viptree.TreeOptions{NaiveMerge: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("algorithm1-merge/query", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			smart.Distance(p.S, p.T)
-		}
-	})
-	b.Run("naive-merge/query", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			naive.Distance(p.S, p.T)
-		}
-	})
+	ablationRow(b, "algorithm1-merge/query", viptree.MustBuildVIPTree(v), pairs)
+	ablationRow(b, "naive-merge/query", naive, pairs)
 }
 
 // toModelVenue converts the public alias back to the internal type expected

@@ -1,121 +1,243 @@
-// Command benchdiff compares two benchjson artifacts (BENCH_build.json /
-// BENCH_query.json) and fails when any benchmark's ns/op regressed past a
-// tolerance. CI runs it against the artifact of the previous run on the same
-// branch so performance regressions surface in the run that introduced them
-// rather than drifting in silently.
+// Command benchdiff judges a change's benchmark runs against its base
+// commit's. It reads two files of raw `go test -bench -benchmem` output,
+// BASE and HEAD, each holding one side's runs of the same rows in run order,
+// as scripts/benchpair.sh writes them. The k-th line of a row in BASE pairs
+// with the k-th line of that row in HEAD, over the first n = min(counts)
+// lines.
 //
 // Usage:
 //
-//	benchdiff -baseline old/BENCH_query.json -current BENCH_query.json
+//	benchdiff BASE HEAD
 //
-// Semantics chosen for CI friendliness:
+// For each row present in both files it prints the base median and
+// quartiles and the head median of ns/op, the number of pairs the head wins
+// (ties count for neither side), the median allocs/op of each side, and one
+// verdict:
 //
-//   - A missing or unreadable baseline is NOT an error: the first run on a
-//     branch has nothing to compare against, so benchdiff prints a note and
-//     exits 0.
-//   - Benchmarks present only on one side are reported but never fail the
-//     run; renames and new benchmarks should not break CI.
-//   - Only a regression (current slower than baseline by more than
-//     -tolerance, default 25%) exits non-zero. Improvements are reported
-//     and always pass.
+//   - slower: the head loses at least ⌈0.9·n⌉ pairs, and its median exceeds
+//     the base median by more than the base's interquartile range Q3−Q1;
+//   - allocs+: the head allocates more than the base in at least ⌈0.9·n⌉
+//     pairs;
+//   - faster: the head wins at least ⌈0.9·n⌉ pairs, and its median is below
+//     the base median by more than the base's Q3−Q1;
+//   - within noise: every other row.
+//
+// Rows present on only one side are listed and never fail. The exit code is
+// 1 when any row is slower or allocs+, and 2 when a file is unreadable or
+// holds no benchmark line.
+//
+// Quantiles interpolate linearly between order statistics: the q-quantile of
+// n sorted values sits at rank q·(n−1), counted from 0 (Hyndman and Fan's
+// type 7, the default of R and NumPy). The median is the 0.5-quantile.
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 )
 
-// result mirrors the benchjson output schema (cmd/benchjson).
+// Verdicts, one per row.
+const (
+	faster      = "faster"
+	slower      = "slower"
+	allocsUp    = "allocs+"
+	withinNoise = "within noise"
+)
+
+// result is one benchmark line: one run of one row.
 type result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	ns float64
+	// allocs is the allocs/op column, or -1 when the run did not report it.
+	allocs float64
 }
 
-func load(path string) ([]result, error) {
-	data, err := os.ReadFile(path)
+// runs holds one file's results per row, and the rows in first-seen order.
+type runs struct {
+	names []string
+	byRow map[string][]result
+}
+
+// parse reads the benchmark lines of a `go test -bench` output file: a row
+// name starting with "Benchmark", its iteration count, then value/unit
+// pairs, ns/op among them. Every other line is skipped.
+func parse(path string) (runs, error) {
+	rs := runs{byRow: map[string][]result{}}
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return rs, err
 	}
-	var rs []result
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			continue
+		}
+		r := result{ns: -1, allocs: -1}
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				break
+			}
+			switch fields[i+1] {
+			case "ns/op":
+				r.ns = v
+			case "allocs/op":
+				r.allocs = v
+			}
+		}
+		if r.ns < 0 {
+			continue
+		}
+		name := fields[0]
+		if _, seen := rs.byRow[name]; !seen {
+			rs.names = append(rs.names, name)
+		}
+		rs.byRow[name] = append(rs.byRow[name], r)
+	}
+	if err := sc.Err(); err != nil {
+		return rs, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(rs.names) == 0 {
+		return rs, fmt.Errorf("%s: no benchmark line", path)
 	}
 	return rs, nil
 }
 
-// runDiff performs the whole comparison and returns the process exit code:
-// 0 on pass (including the missing/corrupt-baseline skip), 1 when at least
-// one benchmark regressed past the tolerance, 2 on an unusable -current.
-// Split out of main so the exit semantics are testable.
-func runDiff(baselinePath, currentPath string, tolerance float64, stdout, stderr io.Writer) int {
-	if currentPath == "" {
-		fmt.Fprintln(stderr, "benchdiff: -current is required")
+// quantile returns the q-quantile of the sorted values by linear
+// interpolation at rank q·(n−1) (type 7).
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
+// judgement is the comparison of one row's paired runs.
+type judgement struct {
+	n                        int
+	baseMed, baseQ1, baseQ3  float64
+	headMed                  float64
+	wins, losses, moreAllocs int
+	baseAllocs, headAllocs   float64 // medians; -1 when not reported
+	verdict                  string
+}
+
+// judge pairs the first n = min(len(base), len(head)) runs of a row and
+// applies the paired rule of the package comment.
+func judge(base, head []result) judgement {
+	n := min(len(base), len(head))
+	j := judgement{n: n, baseAllocs: -1, headAllocs: -1}
+	var bns, hns, ball, hall []float64
+	for k := range n {
+		b, h := base[k], head[k]
+		switch {
+		case h.ns < b.ns:
+			j.wins++
+		case h.ns > b.ns:
+			j.losses++
+		}
+		bns, hns = append(bns, b.ns), append(hns, h.ns)
+		if b.allocs >= 0 && h.allocs >= 0 {
+			ball, hall = append(ball, b.allocs), append(hall, h.allocs)
+			if h.allocs > b.allocs {
+				j.moreAllocs++
+			}
+		}
+	}
+	slices.Sort(bns)
+	slices.Sort(hns)
+	j.baseMed, j.baseQ1, j.baseQ3 = quantile(bns, 0.5), quantile(bns, 0.25), quantile(bns, 0.75)
+	j.headMed = quantile(hns, 0.5)
+	if len(ball) > 0 {
+		slices.Sort(ball)
+		slices.Sort(hall)
+		j.baseAllocs, j.headAllocs = quantile(ball, 0.5), quantile(hall, 0.5)
+	}
+	need := (9*n + 9) / 10 // ⌈0.9·n⌉
+	iqr := j.baseQ3 - j.baseQ1
+	switch {
+	case j.losses >= need && j.headMed-j.baseMed > iqr:
+		j.verdict = slower
+	case j.moreAllocs >= need:
+		j.verdict = allocsUp
+	case j.wins >= need && j.baseMed-j.headMed > iqr:
+		j.verdict = faster
+	default:
+		j.verdict = withinNoise
+	}
+	return j
+}
+
+func fmtAllocs(v float64) string {
+	if v < 0 {
+		return "-"
+	}
+	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
+// diff compares the two files and returns the exit code.
+func diff(basePath, headPath string, stdout, stderr io.Writer) int {
+	base, err := parse(basePath)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-
-	cur, err := load(currentPath)
+	head, err := parse(headPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
 
-	base, err := load(baselinePath)
-	if err != nil {
-		// First run on a branch, expired artifact, or corrupt file: nothing
-		// to compare against, so pass. The current artifact becomes the
-		// baseline of the next run.
-		fmt.Fprintf(stdout, "benchdiff: no usable baseline (%v); skipping comparison\n", err)
-		return 0
-	}
-
-	baseByName := make(map[string]result, len(base))
-	for _, r := range base {
-		baseByName[r.Name] = r
-	}
-
-	failed := 0
-	seen := make(map[string]bool, len(cur))
-	for _, c := range cur {
-		seen[c.Name] = true
-		b, ok := baseByName[c.Name]
+	counts := map[string]int{}
+	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "row\tn\tbase median ns/op\tbase Q1\tbase Q3\thead median ns/op\thead wins\tallocs/op base\thead\tverdict")
+	for _, name := range base.names {
+		h, ok := head.byRow[name]
 		if !ok {
-			fmt.Fprintf(stdout, "  new      %-60s %12.1f ns/op\n", c.Name, c.NsPerOp)
 			continue
 		}
-		if b.NsPerOp <= 0 || c.NsPerOp <= 0 {
-			continue
-		}
-		delta := c.NsPerOp/b.NsPerOp - 1
-		status := "ok"
-		if delta > tolerance {
-			status = "REGRESS"
-			failed++
-		}
-		fmt.Fprintf(stdout, "  %-8s %-60s %12.1f -> %12.1f ns/op (%+.1f%%)\n",
-			status, c.Name, b.NsPerOp, c.NsPerOp, delta*100)
+		j := judge(base.byRow[name], h)
+		counts[j.verdict]++
+		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%d/%d\t%s\t%s\t%s\n",
+			name, j.n, j.baseMed, j.baseQ1, j.baseQ3, j.headMed, j.wins, j.n,
+			fmtAllocs(j.baseAllocs), fmtAllocs(j.headAllocs), j.verdict)
 	}
-	for _, b := range base {
-		if !seen[b.Name] {
-			fmt.Fprintf(stdout, "  removed  %-60s %12.1f ns/op\n", b.Name, b.NsPerOp)
+	tw.Flush()
+	for _, name := range base.names {
+		if _, ok := head.byRow[name]; !ok {
+			fmt.Fprintf(stdout, "only in base: %s\n", name)
 		}
 	}
-	if failed > 0 {
-		fmt.Fprintf(stderr, "benchdiff: %d benchmark(s) regressed more than %.0f%% ns/op\n", failed, tolerance*100)
+	for _, name := range head.names {
+		if _, ok := base.byRow[name]; !ok {
+			fmt.Fprintf(stdout, "only in head: %s\n", name)
+		}
+	}
+	fmt.Fprintf(stdout, "benchdiff: %d faster, %d slower, %d allocs+, %d within noise\n",
+		counts[faster], counts[slower], counts[allocsUp], counts[withinNoise])
+	if counts[slower]+counts[allocsUp] > 0 {
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchdiff: %d benchmark(s) within %.0f%% tolerance\n", len(cur), tolerance*100)
 	return 0
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "benchjson file from the previous run (missing file is not an error)")
-	current := flag.String("current", "", "benchjson file from this run")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression before failing (0.25 = 25%)")
-	flag.Parse()
-	os.Exit(runDiff(*baseline, *current, *tolerance, os.Stdout, os.Stderr))
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BASE HEAD (two files of `go test -bench -benchmem` output)")
+		os.Exit(2)
+	}
+	os.Exit(diff(os.Args[1], os.Args[2], os.Stdout, os.Stderr))
 }

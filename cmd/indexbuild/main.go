@@ -76,24 +76,19 @@ func main() {
 		return
 	}
 
-	var sc venuegen.Scale
-	switch *scale {
-	case "tiny":
-		sc = venuegen.ScaleTiny
-	case "small":
-		sc = venuegen.ScaleSmall
-	case "full":
-		sc = venuegen.ScaleFull
-	default:
-		fmt.Fprintln(os.Stderr, "unknown scale; want tiny, small or full")
+	sc, err := venuegen.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg := bench.DefaultConfig(sc)
-	cfg.VenueNames = []string{*venue}
-	nv := cfg.Venues()[0]
-	vs := nv.Venue.ComputeStats()
+	v, err := venuegen.Named(*venue, sc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	vs := v.ComputeStats()
 	fmt.Printf("venue %s: %d doors, %d partitions, %d D2D edges, %d floors\n",
-		nv.Name, vs.Doors, vs.Partitions, vs.D2DEdges, vs.Floors)
+		*venue, vs.Doors, vs.Partitions, vs.D2DEdges, vs.Floors)
 
 	start := time.Now()
 	var memory int64
@@ -106,26 +101,26 @@ func main() {
 	treeOpts := iptree.Options{MinDegree: *minDegree, Parallelism: *parallelism}
 	switch *indexName {
 	case "ip":
-		t := iptree.MustBuildIPTree(nv.Venue, treeOpts)
+		t := iptree.MustBuildIPTree(v, treeOpts)
 		memory = t.MemoryBytes()
 		printTreeStats(t.TreeStats())
 		printBuildTimings(t.BuildTimings())
 		snapshotter, objIndexer = t, t
 	case "vip":
-		t := iptree.MustBuildVIPTree(nv.Venue, treeOpts)
+		t := iptree.MustBuildVIPTree(v, treeOpts)
 		memory = t.MemoryBytes()
 		printTreeStats(t.TreeStats())
 		printBuildTimings(t.BuildTimings())
 		snapshotter, objIndexer = t, t
 	case "distmx":
-		m := distmatrix.Build(nv.Venue, true)
+		m := distmatrix.Build(v, true)
 		memory = m.MemoryBytes()
 	case "distaw":
-		memory = distaware.New(nv.Venue).MemoryBytes()
+		memory = distaware.New(v).MemoryBytes()
 	case "gtree":
-		memory = gtree.Build(nv.Venue, gtree.Options{}).MemoryBytes()
+		memory = gtree.Build(v, gtree.Options{}).MemoryBytes()
 	case "road":
-		memory = road.Build(nv.Venue, road.Options{}).MemoryBytes()
+		memory = road.Build(v, road.Options{}).MemoryBytes()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown index %q\n", *indexName)
 		os.Exit(2)
@@ -143,10 +138,10 @@ func main() {
 	}
 	var oi *iptree.ObjectIndex
 	if *objects > 0 {
-		oi = objIndexer.IndexObjects(bench.Objects(nv.Venue, *objects, *objSeed))
+		oi = objIndexer.IndexObjects(bench.Objects(v, *objects, *objSeed))
 	}
 	serStart := time.Now()
-	if err := snapshot.Save(*out, nv.Venue, snapshotter, oi); err != nil {
+	if err := snapshot.Save(*out, v, snapshotter, oi); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

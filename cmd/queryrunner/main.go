@@ -157,21 +157,15 @@ func main() {
 			objs = snap.Objects.Objects()
 		}
 	} else {
-		var sc venuegen.Scale
-		switch *scale {
-		case "tiny":
-			sc = venuegen.ScaleTiny
-		case "small":
-			sc = venuegen.ScaleSmall
-		case "full":
-			sc = venuegen.ScaleFull
-		default:
-			fmt.Fprintln(os.Stderr, "unknown scale; want tiny, small or full")
+		sc, err := venuegen.ParseScale(*scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg := bench.DefaultConfig(sc)
-		cfg.VenueNames = []string{*venue}
-		v = cfg.Venues()[0].Venue
+		if v, err = venuegen.Named(*venue, sc); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		ix = buildIndex(v, *indexName)
 	}
 	if oq == nil {

@@ -49,9 +49,7 @@ func runnerArgs(walDir string) []string {
 // venue, index and object seed) and recovers the WAL onto it.
 func recoverState(t *testing.T, walDir string) *engine.WALRecovery {
 	t.Helper()
-	cfg := bench.DefaultConfig(venuegen.ScaleTiny)
-	cfg.VenueNames = []string{"MC"}
-	v := cfg.Venues()[0].Venue
+	v := venuegen.MelbourneCentral(venuegen.ScaleTiny)
 	ix := buildIndex(v, "vip")
 	objs := bench.Objects(v, 50, 1+7)
 	eng, rep, err := engine.Open(ix, engine.Options{
@@ -98,9 +96,7 @@ func TestLoadErrorsAreTyped(t *testing.T) {
 	dir := t.TempDir()
 
 	valid := filepath.Join(dir, "valid.snap")
-	cfg := bench.DefaultConfig(venuegen.ScaleTiny)
-	cfg.VenueNames = []string{"MC"}
-	v := cfg.Venues()[0].Venue
+	v := venuegen.MelbourneCentral(venuegen.ScaleTiny)
 	ix := buildIndex(v, "vip")
 	if err := snapshot.Save(valid, v, ix.(index.Snapshotter), nil); err != nil {
 		t.Fatal(err)
@@ -141,6 +137,32 @@ func TestLoadErrorsAreTyped(t *testing.T) {
 	out, err := exec.Command(bin, "-load", valid, "-n", "10", "-verify").CombinedOutput()
 	if err != nil {
 		t.Fatalf("runner failed on the valid snapshot: %v\n%s", err, out)
+	}
+}
+
+// TestBadFlagValuesPrintOneLine runs the real binary with an unknown -venue,
+// -scale and -index: each must exit 2 with a one-line error, not a panic and
+// its goroutine trace (a Go panic exits 2 as well, so the exit code alone
+// cannot tell the two apart).
+func TestBadFlagValuesPrintOneLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary")
+	}
+	bin := buildRunner(t)
+	for _, args := range [][]string{
+		{"-venue", "nope", "-scale", "tiny"},
+		{"-venue", "MC", "-scale", "huge"},
+		{"-venue", "MC", "-scale", "tiny", "-index", "nope"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var xerr *exec.ExitError
+		if !errors.As(err, &xerr) || xerr.ExitCode() != 2 {
+			t.Errorf("%v: want exit 2, got %v\n%s", args, err, out)
+		}
+		lines := bytes.Count(bytes.TrimSuffix(out, []byte("\n")), []byte("\n")) + 1
+		if lines != 1 || bytes.Contains(out, []byte("panic:")) {
+			t.Errorf("%v: want a one-line error, got %d lines:\n%s", args, lines, out)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"viptree/internal/bench"
 	"viptree/internal/model"
 	"viptree/internal/venuegen"
 )
@@ -39,37 +38,31 @@ func main() {
 	}
 	flag.Parse()
 
-	var sc venuegen.Scale
-	switch *scale {
-	case "tiny":
-		sc = venuegen.ScaleTiny
-	case "small":
-		sc = venuegen.ScaleSmall
-	case "full":
-		sc = venuegen.ScaleFull
-	default:
-		fmt.Fprintln(os.Stderr, "unknown scale; want tiny, small or full")
+	sc, err := venuegen.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	report := func(v *model.Venue) { fmt.Println(v.ComputeStats().String()) }
+	reportNamed := func(names ...string) {
+		for _, name := range names {
+			v, err := venuegen.Named(name, sc)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			s := v.ComputeStats()
+			s.Name = name
+			fmt.Println(s.String())
+		}
+	}
 
 	switch {
 	case *all:
-		cfg := bench.DefaultConfig(sc)
-		for _, nv := range cfg.Venues() {
-			s := nv.Venue.ComputeStats()
-			s.Name = nv.Name
-			fmt.Println(s.String())
-		}
+		reportNamed(venuegen.Names...)
 	case *venue != "":
-		cfg := bench.DefaultConfig(sc)
-		cfg.VenueNames = []string{*venue}
-		for _, nv := range cfg.Venues() {
-			s := nv.Venue.ComputeStats()
-			s.Name = nv.Name
-			fmt.Println(s.String())
-		}
+		reportNamed(*venue)
 	case *buildings > 0:
 		v := venuegen.MustCampus(venuegen.CampusConfig{
 			Name:      "custom-campus",

@@ -1,20 +1,10 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"viptree/internal/venuegen"
 )
-
-func tinyConfig() Config {
-	c := DefaultConfig(venuegen.ScaleTiny)
-	c.Pairs = 20
-	c.Points = 5
-	c.Objects = 8
-	c.VenueNames = []string{"MC"}
-	return c
-}
 
 func TestWorkloadGenerators(t *testing.T) {
 	v := venuegen.PaperExample()
@@ -44,77 +34,4 @@ func TestWorkloadGenerators(t *testing.T) {
 	if nonEmpty < 2 {
 		t.Errorf("expected at least 2 non-empty distance buckets, got %d", nonEmpty)
 	}
-	if len(SortedDistances(v, points, points[0])) != len(points) {
-		t.Error("SortedDistances length mismatch")
-	}
-}
-
-func TestMeasurementHelpers(t *testing.T) {
-	m := Measurement{Queries: 4, Total: 8000}
-	if m.PerQueryMicros() <= 0 {
-		t.Error("PerQueryMicros should be positive")
-	}
-	if (Measurement{}).PerQueryMicros() != 0 {
-		t.Error("empty measurement should report 0")
-	}
-}
-
-func TestVenueSetAndTableRendering(t *testing.T) {
-	c := tinyConfig()
-	venues := c.Venues()
-	if len(venues) != 1 || venues[0].Name != "MC" {
-		t.Fatalf("unexpected venue set %v", venues)
-	}
-	tab := Table2(c)
-	out := tab.String()
-	if !strings.Contains(out, "MC") || !strings.Contains(out, "#doors") {
-		t.Errorf("table rendering missing content:\n%s", out)
-	}
-	// Default venue list covers the paper's six data sets.
-	full := Config{Scale: venuegen.ScaleTiny, Pairs: 1, Points: 1, Objects: 1, K: 1, RangeMeters: 10, Seed: 1}
-	if got := len(full.Venues()); got != 6 {
-		t.Errorf("default venue set has %d entries, want 6", got)
-	}
-}
-
-func TestExperimentsProduceRows(t *testing.T) {
-	c := tinyConfig()
-	for name, fn := range All() {
-		if name == "fig7" || name == "fig10b" || name == "fig11b" {
-			continue // exercised separately below with even smaller workloads
-		}
-		tab := fn(c)
-		if len(tab.Rows) == 0 {
-			t.Errorf("experiment %s produced no rows", name)
-		}
-		if tab.String() == "" {
-			t.Errorf("experiment %s renders empty", name)
-		}
-	}
-}
-
-func TestHeavierExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping heavier experiment smoke test in -short mode")
-	}
-	c := tinyConfig()
-	c.Pairs = 10
-	c.Points = 3
-	for _, name := range []string{"fig7", "fig10b", "fig11b"} {
-		tab := All()[name](c)
-		if len(tab.Rows) == 0 {
-			t.Errorf("experiment %s produced no rows", name)
-		}
-	}
-}
-
-func TestUnknownVenuePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown venue name")
-		}
-	}()
-	c := tinyConfig()
-	c.VenueNames = []string{"nope"}
-	c.Venues()
 }

@@ -1,13 +1,12 @@
-// Package bench provides the workload generators, measurement helpers and
-// experiment drivers that regenerate the tables and figures of the paper's
-// evaluation (Section 4). It is shared by the root-level Go benchmarks and
-// by cmd/experiments.
+// Package bench generates the query workloads of the paper's evaluation
+// (Section 4): uniform and clustered query pairs, distance-bucketed pairs,
+// query points and object sets. The root-level Go benchmarks, which
+// reproduce the paper's tables and figures, and cmd/queryrunner and
+// cmd/indexbuild draw their inputs from it.
 package bench
 
 import (
 	"math/rand"
-	"sort"
-	"time"
 
 	"viptree/internal/model"
 )
@@ -109,77 +108,5 @@ func BucketedPairs(v *model.Venue, buckets, perBucket int, seed int64) [][]Query
 			out[b] = append(out[b], QueryPair{S: s, T: t})
 		}
 	}
-	return out
-}
-
-// Measurement is the timing result of running a query workload.
-type Measurement struct {
-	Queries int
-	Total   time.Duration
-}
-
-// PerQueryMicros returns the average query latency in microseconds, the unit
-// the paper's figures use.
-func (m Measurement) PerQueryMicros() float64 {
-	if m.Queries == 0 {
-		return 0
-	}
-	return float64(m.Total.Microseconds()) / float64(m.Queries)
-}
-
-// MeasureDistance times shortest-distance queries over the pairs.
-func MeasureDistance(q interface {
-	Distance(s, t model.Location) float64
-}, pairs []QueryPair) Measurement {
-	start := time.Now()
-	for _, p := range pairs {
-		q.Distance(p.S, p.T)
-	}
-	return Measurement{Queries: len(pairs), Total: time.Since(start)}
-}
-
-// MeasurePath times shortest-path queries over the pairs.
-func MeasurePath(q interface {
-	Path(s, t model.Location) (float64, []model.DoorID)
-}, pairs []QueryPair) Measurement {
-	start := time.Now()
-	for _, p := range pairs {
-		q.Path(p.S, p.T)
-	}
-	return Measurement{Queries: len(pairs), Total: time.Since(start)}
-}
-
-// KNNFunc is a kNN query function.
-type KNNFunc func(q model.Location, k int) int
-
-// MeasureKNN times kNN queries over the query points.
-func MeasureKNN(knn KNNFunc, points []model.Location, k int) Measurement {
-	start := time.Now()
-	for _, p := range points {
-		knn(p, k)
-	}
-	return Measurement{Queries: len(points), Total: time.Since(start)}
-}
-
-// RangeFunc is a range query function.
-type RangeFunc func(q model.Location, r float64) int
-
-// MeasureRange times range queries over the query points.
-func MeasureRange(rangeQ RangeFunc, points []model.Location, r float64) Measurement {
-	start := time.Now()
-	for _, p := range points {
-		rangeQ(p, r)
-	}
-	return Measurement{Queries: len(points), Total: time.Since(start)}
-}
-
-// SortedDistances is a test helper: it returns the exact distances from q to
-// every object, ascending, computed on the D2D graph.
-func SortedDistances(v *model.Venue, objects []model.Location, q model.Location) []float64 {
-	out := make([]float64, len(objects))
-	for i, o := range objects {
-		out[i] = v.D2D().LocationDist(q, o)
-	}
-	sort.Float64s(out)
 	return out
 }

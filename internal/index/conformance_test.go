@@ -78,7 +78,7 @@ func allIndexers(t *testing.T, v *model.Venue) []index.ObjectIndexer {
 }
 
 // TestFullCapabilityConformance drives the entire interface of every index
-// through the Full combination and checks the answers against the exact D2D
+// and of its object querier and checks the answers against the exact D2D
 // ground truth.
 func TestFullCapabilityConformance(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
@@ -100,33 +100,33 @@ func TestFullCapabilityConformance(t *testing.T) {
 	}
 
 	for _, ixr := range allIndexers(t, v) {
-		full := index.WithObjects(ixr, objects)
-		t.Run(full.Name(), func(t *testing.T) {
-			if full.Name() == "" {
+		oq := ixr.NewObjectQuerier(objects)
+		t.Run(ixr.Name(), func(t *testing.T) {
+			if ixr.Name() == "" {
 				t.Error("empty Name()")
 			}
-			if full.MemoryBytes() <= 0 {
-				t.Errorf("MemoryBytes() = %d, want > 0", full.MemoryBytes())
+			if ixr.MemoryBytes() <= 0 {
+				t.Errorf("MemoryBytes() = %d, want > 0", ixr.MemoryBytes())
 			}
-			st := full.Stats()
-			if st.Name != full.Name() {
-				t.Errorf("Stats().Name = %q, want %q", st.Name, full.Name())
+			st := ixr.Stats()
+			if st.Name != ixr.Name() {
+				t.Errorf("Stats().Name = %q, want %q", st.Name, ixr.Name())
 			}
-			if st.MemoryBytes != full.MemoryBytes() {
-				t.Errorf("Stats().MemoryBytes = %d, want %d", st.MemoryBytes, full.MemoryBytes())
+			if st.MemoryBytes != ixr.MemoryBytes() {
+				t.Errorf("Stats().MemoryBytes = %d, want %d", st.MemoryBytes, ixr.MemoryBytes())
 			}
 			for _, p := range pairs {
 				want := v.D2D().LocationDist(p.s, p.d)
-				if got := full.Distance(p.s, p.d); !approxEqual(got, want) {
+				if got := ixr.Distance(p.s, p.d); !approxEqual(got, want) {
 					t.Fatalf("Distance(%v, %v) = %v, want %v", p.s, p.d, got, want)
 				}
-				pd, _ := full.Path(p.s, p.d)
+				pd, _ := ixr.Path(p.s, p.d)
 				if !approxEqual(pd, want) {
 					t.Fatalf("Path(%v, %v) dist = %v, want %v", p.s, p.d, pd, want)
 				}
 			}
 			for _, q := range points {
-				knn := full.KNN(q, 5)
+				knn := oq.KNN(q, 5)
 				if len(knn) == 0 {
 					t.Fatalf("KNN(%v, 5) returned no results", q)
 				}
@@ -135,7 +135,7 @@ func TestFullCapabilityConformance(t *testing.T) {
 						t.Fatalf("KNN results not ascending: %v", knn)
 					}
 				}
-				within := full.Range(q, 60)
+				within := oq.Range(q, 60)
 				for _, r := range within {
 					if r.Dist > 60+1e-6 {
 						t.Fatalf("Range(%v, 60) returned object at distance %v", q, r.Dist)
@@ -364,9 +364,7 @@ func TestChangeLoggerConformance(t *testing.T) {
 // the batched kNN/range capability: exactly those of the IP-Tree and
 // VIP-Tree (the indexes whose per-source climbs a batch can share). For
 // implementers, the batched answers must match the per-query ones exactly,
-// and the capability — together with the climb cache counters — must
-// survive the Combine wrapper, because the engine may probe through the
-// Full interface.
+// and the querier's climb cache must have counted the batches' lookups.
 func TestObjectBatcherConformance(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "objbatch", Floors: 2, RoomsPerHallway: 8, Seed: 8,
@@ -425,22 +423,11 @@ func TestObjectBatcherConformance(t *testing.T) {
 				t.Errorf("index %q: RangeBatch[%d] = %v, want %v", name, i, got, want)
 			}
 		}
-		// The capability and the climb cache counters must survive Combine.
-		full := index.Combine(ixr, oq)
-		if _, ok := full.(index.KNNBatcher); !ok {
-			t.Errorf("index %q: Combine dropped the KNNBatcher capability", name)
-		}
-		if _, ok := full.(index.RangeBatcher); !ok {
-			t.Errorf("index %q: Combine dropped the RangeBatcher capability", name)
-		}
-		rep, ok := full.(index.ClimbCacheReporter)
+		rep, ok := oq.(index.ClimbCacheReporter)
 		if !ok {
-			t.Errorf("index %q: Combine dropped the ClimbCacheReporter capability", name)
+			t.Errorf("index %q: object querier does not report climb cache counters", name)
 		} else if cc := rep.ClimbCacheStats(); cc.Hits+cc.Misses == 0 {
 			t.Errorf("index %q: climb cache counted no lookups after two batches: %+v", name, cc)
-		}
-		if _, ok := full.(index.DistanceBatcher); !ok {
-			t.Errorf("index %q: Combine dropped the DistanceBatcher capability alongside the object batchers", name)
 		}
 	}
 	for name := range wantBatcher {

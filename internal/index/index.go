@@ -7,10 +7,9 @@
 // the object half (ObjectQuerier) answers kNN and range queries over a set
 // of objects embedded into the index. Every index implements both halves:
 // it satisfies Index directly and yields an ObjectQuerier from
-// NewObjectQuerier (the ObjectIndexer interface). Combine glues the two
-// halves into the Full interface consumed by the query engine
-// (viptree/internal/engine), the benchmark harness and the experiment
-// driver.
+// NewObjectQuerier (the ObjectIndexer interface). The query engine
+// (viptree/internal/engine) takes the two halves separately: the Index,
+// and the ObjectQuerier in its options.
 //
 // Indexes may additionally implement two optional capabilities, both pinned
 // by conformance_test.go. Snapshotter exports the fully built state so
@@ -243,98 +242,4 @@ type ChangeLogger interface {
 	MutableObjectIndexer
 	// ChangeLog returns the update log behind the index.
 	ChangeLog() *updatelog.Log
-}
-
-// Full is the complete capability surface: Distance, Path, KNN, Range,
-// MemoryBytes and Stats. Obtain one with Combine, or by combining an
-// ObjectIndexer with its own object querier via WithObjects.
-type Full interface {
-	Index
-	ObjectQuerier
-}
-
-// combined glues an Index and an ObjectQuerier into a Full index.
-type combined struct {
-	Index
-	objects ObjectQuerier
-}
-
-func (c combined) KNN(q model.Location, k int) []ObjectResult { return c.objects.KNN(q, k) }
-func (c combined) Range(q model.Location, r float64) []ObjectResult {
-	return c.objects.Range(q, r)
-}
-
-// combinedBatcher additionally forwards the batched-distance capability of
-// the wrapped index, so capability probing through the Full interface still
-// discovers it.
-type combinedBatcher struct {
-	combined
-	batcher DistanceBatcher
-}
-
-func (c combinedBatcher) DistanceBatch(pairs []LocationPair, out []float64, workers int) {
-	c.batcher.DistanceBatch(pairs, out, workers)
-}
-
-// objectBatcher is the batched half of the object capability surface: the
-// IP-Tree/VIP-Tree object index implements both batch kinds (and the climb
-// cache counters) together, so Combine forwards them as one bundle.
-type objectBatcher interface {
-	KNNBatcher
-	RangeBatcher
-	ClimbCacheReporter
-}
-
-// combinedObjBatcher forwards the batched kNN/range capability (and the
-// climb-cache counters) of the wrapped object querier.
-type combinedObjBatcher struct {
-	combined
-	ob objectBatcher
-}
-
-func (c combinedObjBatcher) KNNBatch(queries []KNNQuery, out [][]ObjectResult, workers int) {
-	c.ob.KNNBatch(queries, out, workers)
-}
-
-func (c combinedObjBatcher) RangeBatch(queries []RangeQuery, out [][]ObjectResult, workers int) {
-	c.ob.RangeBatch(queries, out, workers)
-}
-
-func (c combinedObjBatcher) ClimbCacheStats() ClimbCacheStats { return c.ob.ClimbCacheStats() }
-
-// combinedFullBatcher forwards both the batched-distance capability of the
-// wrapped index and the batched-object capability of the wrapped querier.
-type combinedFullBatcher struct {
-	combinedObjBatcher
-	batcher DistanceBatcher
-}
-
-func (c combinedFullBatcher) DistanceBatch(pairs []LocationPair, out []float64, workers int) {
-	c.batcher.DistanceBatch(pairs, out, workers)
-}
-
-// Combine glues a distance index and an object querier (usually built from
-// the same underlying structure) into the Full capability interface. The
-// combined index reports the distance index's name and statistics, and
-// preserves the wrapped index's DistanceBatcher capability and the wrapped
-// querier's KNNBatcher/RangeBatcher capability when present.
-func Combine(ix Index, objects ObjectQuerier) Full {
-	c := combined{Index: ix, objects: objects}
-	b, _ := ix.(DistanceBatcher)
-	ob, _ := objects.(objectBatcher)
-	switch {
-	case b != nil && ob != nil:
-		return combinedFullBatcher{combinedObjBatcher: combinedObjBatcher{combined: c, ob: ob}, batcher: b}
-	case ob != nil:
-		return combinedObjBatcher{combined: c, ob: ob}
-	case b != nil:
-		return combinedBatcher{combined: c, batcher: b}
-	}
-	return c
-}
-
-// WithObjects embeds the objects into the indexer and returns the Full
-// capability interface over the pair.
-func WithObjects(ix ObjectIndexer, objects []model.Location) Full {
-	return Combine(ix, ix.NewObjectQuerier(objects))
 }

@@ -1,14 +1,17 @@
 package venuegen
 
 import (
+	"fmt"
+	"strings"
+
 	"viptree/internal/geom"
 	"viptree/internal/model"
 )
 
 // Scale selects how large the preset venues are. The paper's full-size data
 // sets (Table 2) reach 83,000 doors and 13.4 million D2D edges; building the
-// full Clayton campus takes noticeable time and memory, so benchmarks default
-// to a reduced scale while cmd/experiments exposes the full one.
+// full Clayton campus takes noticeable time and memory, so the benchmarks use
+// the tiny and small scales while the commands' -scale flag reaches all three.
 type Scale int
 
 // Scales supported by the presets.
@@ -20,6 +23,42 @@ const (
 	// ScaleFull matches the paper's Table 2 statistics.
 	ScaleFull
 )
+
+// ParseScale parses a scale name: tiny, small or full.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "full":
+		return ScaleFull, nil
+	}
+	return 0, fmt.Errorf("venuegen: unknown scale %q (want tiny, small or full)", name)
+}
+
+// Names lists the paper's six evaluation venues in the order of Table 2.
+var Names = []string{"MC", "MC-2", "Men", "Men-2", "CL", "CL-2"}
+
+// Named builds the paper venue with the given Table 2 name (one of Names) at
+// scale s. A "-2" venue is two stacked copies of its base venue.
+func Named(name string, s Scale) (*model.Venue, error) {
+	switch name {
+	case "MC":
+		return MelbourneCentral(s), nil
+	case "MC-2":
+		return Replicate(MelbourneCentral(s), 2, 0)
+	case "Men":
+		return Menzies(s), nil
+	case "Men-2":
+		return Replicate(Menzies(s), 2, 0)
+	case "CL":
+		return Clayton(s), nil
+	case "CL-2":
+		return Replicate(Clayton(s), 2, 0)
+	}
+	return nil, fmt.Errorf("venuegen: unknown venue %q (want %s)", name, strings.Join(Names, ", "))
+}
 
 // MelbourneCentral returns a shopping-centre-like venue (data set "MC"):
 // few levels, wide atrium hallways with many shops attached. At ScaleFull it

@@ -2,6 +2,7 @@ package venuegen
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"viptree/internal/model"
@@ -177,6 +178,46 @@ func TestPresetsTinyAndSmall(t *testing.T) {
 		if small.NumDoors() <= tiny.NumDoors() {
 			t.Errorf("%s: small (%d doors) should exceed tiny (%d doors)", p.name, small.NumDoors(), tiny.NumDoors())
 		}
+	}
+}
+
+func TestNamedVenues(t *testing.T) {
+	if len(Names) != 6 {
+		t.Errorf("Names has %d venues, want the paper's six: %v", len(Names), Names)
+	}
+	for _, name := range Names {
+		v, err := Named(name, ScaleTiny)
+		if err != nil {
+			t.Fatalf("Named(%q): %v", name, err)
+		}
+		if !v.D2D().Graph.Connected() {
+			t.Errorf("%s: disconnected", name)
+		}
+		if base, ok := strings.CutSuffix(name, "-2"); ok {
+			b, err := Named(base, ScaleTiny)
+			if err != nil {
+				t.Fatalf("Named(%q): %v", base, err)
+			}
+			if v.Floors() != 2*b.Floors() {
+				t.Errorf("%s: %d floors, want twice the %d of %s", name, v.Floors(), b.Floors(), base)
+			}
+		}
+	}
+}
+
+func TestNamedRejectsUnknownNames(t *testing.T) {
+	if v, err := Named("nope", ScaleTiny); err == nil || v != nil {
+		t.Fatalf("Named(nope) = %v, %v; want an error", v, err)
+	} else if !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("error %q does not name the venue", err)
+	}
+	for name, want := range map[string]Scale{"tiny": ScaleTiny, "small": ScaleSmall, "full": ScaleFull} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error("ParseScale(huge) accepted an unknown scale")
 	}
 }
 

@@ -180,9 +180,6 @@ type (
 	// ObjectIndexer is an Index that can embed a set of objects for
 	// kNN/range queries.
 	ObjectIndexer = index.ObjectIndexer
-	// FullIndex is the complete capability surface (Index plus KNN/Range);
-	// build one with CombineIndex or IndexWithObjects.
-	FullIndex = index.Full
 	// LocationPair is one source/target pair of a batched distance query.
 	LocationPair = index.LocationPair
 	// DistanceBatcher is the capability interface of indexes that answer
@@ -270,16 +267,6 @@ var ErrNoSuchObject = iptree.ErrNoSuchObject
 // queries; set EngineOptions.Workers to bound batch parallelism (zero
 // selects GOMAXPROCS).
 func NewEngine(ix Index, opts EngineOptions) *Engine { return engine.New(ix, opts) }
-
-// CombineIndex glues a distance index and an object querier into the full
-// capability interface.
-func CombineIndex(ix Index, objects ObjectQuerier) FullIndex { return index.Combine(ix, objects) }
-
-// IndexWithObjects embeds the objects into the indexer and returns the full
-// capability interface over the pair.
-func IndexWithObjects(ix ObjectIndexer, objects []Location) FullIndex {
-	return index.WithObjects(ix, objects)
-}
 
 // Baseline index types used by the paper's evaluation.
 type (
