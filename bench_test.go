@@ -339,13 +339,23 @@ func BenchmarkExecuteBatch(b *testing.B) {
 	}
 }
 
-// Full-scale Menzies fixture shared by the batched object-query benchmarks:
-// built once (outside benchVenueSpecs so the venue-sweeping benchmarks never
-// construct full-scale baselines) and reused across BenchmarkBatchedKNN and
-// BenchmarkBatchedRange.
+// Full-scale Menzies VIP-Tree shared by the object-query benchmarks: built
+// once, outside benchVenueSpecs, so the venue-sweeping benchmarks never
+// construct full-scale baselines.
+var (
+	menFullTreeOnce sync.Once
+	menFullVip      *viptree.VIPTree
+)
+
+func menFullTree() *viptree.VIPTree {
+	menFullTreeOnce.Do(func() { menFullVip = viptree.MustBuildVIPTree(viptree.Menzies(viptree.ScaleFull)) })
+	return menFullVip
+}
+
+// Batched fixture on the full-scale tree, reused across BenchmarkBatchedKNN
+// and BenchmarkBatchedRange: 1000 objects and two 1024-query workloads.
 var (
 	menFullOnce sync.Once
-	menFullVip  *viptree.VIPTree
 	menFullOI   *viptree.ObjectIndex
 	menFullWork []struct {
 		name   string
@@ -355,9 +365,9 @@ var (
 
 func menFullObjects() (*viptree.VIPTree, *viptree.ObjectIndex) {
 	menFullOnce.Do(func() {
-		v := viptree.Menzies(viptree.ScaleFull)
-		menFullVip = viptree.MustBuildVIPTree(v)
-		menFullOI = menFullVip.IndexObjects(bench.Objects(toModelVenue(v), 1000, 7))
+		tree := menFullTree()
+		v := tree.Venue()
+		menFullOI = tree.IndexObjects(bench.Objects(toModelVenue(v), 1000, 7))
 		const n = 1024
 		hot := bench.Points(toModelVenue(v), 8, 22)
 		clustered := make([]viptree.Location, n)
@@ -463,25 +473,56 @@ func BenchmarkBatchedRange(b *testing.B) {
 	}
 }
 
-// BenchmarkKNN measures the warm kNN hot path (Algorithm 5) on the VIP-Tree
-// with allocation statistics: the warm path must report 1 alloc/op — the
-// returned result slice — with all traversal state in pooled epoch-stamped
-// dense scratch (see internal/iptree/scratch.go and the regression test
-// TestKNNAllocsResultSliceOnly).
+// objectRows times one warm object query per op on the VIP-Tree over two
+// fixtures. Men-small holds 50 objects and 128 query points on the
+// small-scale Menzies venue. Men-full is servebench's shape: 250 objects of
+// seed 7 and 256 points of seed 21 on the full-scale venue, whose leaves
+// hold up to 109 doors, so the query's own-leaf D2D search is most of the
+// cost.
+func objectRows(b *testing.B, query func(oi *viptree.ObjectIndex, q viptree.Location)) {
+	rows := []struct {
+		name    string
+		fixture func() (*viptree.ObjectIndex, []viptree.Location)
+	}{
+		{"Men-small", func() (*viptree.ObjectIndex, []viptree.Location) {
+			v := benchVenue("Men")
+			oi := benchIndexes("Men").vip.IndexObjects(bench.Objects(toModelVenue(v), 50, 18))
+			return oi, bench.Points(toModelVenue(v), 128, 17)
+		}},
+		{"Men-full", func() (*viptree.ObjectIndex, []viptree.Location) {
+			tree := menFullTree()
+			v := toModelVenue(tree.Venue())
+			return tree.IndexObjects(bench.Objects(v, 250, 7)), bench.Points(v, 256, 21)
+		}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			oi, points := row.fixture()
+			for _, q := range points {
+				query(oi, q) // warm the scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(oi, points[i%len(points)])
+			}
+		})
+	}
+}
+
+// BenchmarkKNN measures the warm kNN hot path (Algorithm 5, k = 5) on the
+// VIP-Tree with allocation statistics: the warm path must report 1 alloc/op
+// — the returned result slice — with all traversal state in recycled
+// epoch-stamped dense scratch (see internal/iptree/scratch.go and the
+// regression test TestKNNAllocsResultSliceOnly).
 func BenchmarkKNN(b *testing.B) {
-	v := benchVenue("Men")
-	idx := benchIndexes("Men")
-	points := bench.Points(toModelVenue(v), 128, 17)
-	objs := bench.Objects(toModelVenue(v), 50, 18)
-	oi := idx.vip.IndexObjects(objs)
-	for _, q := range points {
-		oi.KNN(q, 5) // warm the scratch pool
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oi.KNN(points[i%len(points)], 5)
-	}
+	objectRows(b, func(oi *viptree.ObjectIndex, q viptree.Location) { oi.KNN(q, 5) })
+}
+
+// BenchmarkRange is BenchmarkKNN's counterpart for the warm range query
+// (r = 100 m), also at 1 alloc/op (TestRangeAllocsResultSliceOnly).
+func BenchmarkRange(b *testing.B) {
+	objectRows(b, func(oi *viptree.ObjectIndex, q viptree.Location) { oi.Range(q, 100) })
 }
 
 // BenchmarkKNNUnderChurn measures warm kNN latency while a background

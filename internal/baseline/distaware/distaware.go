@@ -126,14 +126,7 @@ func (ix *Index) expand(q model.Location, stop func([]index.ObjectResult, float6
 	best := make(map[int]float64, len(ix.objects))
 	// Objects co-located with the query partition are reachable directly.
 	for _, id := range ix.objectsInPartition[q.Partition] {
-		o := ix.objects[id]
-		var d float64
-		p := v.Partition(q.Partition)
-		if p.TraversalCost > 0 {
-			d = p.TraversalCost
-		} else {
-			d = q.Point.PlanarDist(o.Point)
-		}
+		d := v.SamePartitionDist(q, ix.objects[id])
 		if cur, ok := best[id]; !ok || d < cur {
 			best[id] = d
 		}

@@ -139,11 +139,7 @@ func (m *Matrix) distanceInternal(s, t model.Location) (float64, model.DoorID, m
 	m.queries.Add(1)
 	v := m.venue
 	if s.Partition == t.Partition {
-		p := v.Partition(s.Partition)
-		if p.TraversalCost > 0 {
-			return p.TraversalCost, -1, -1
-		}
-		return s.Point.PlanarDist(t.Point), -1, -1
+		return v.SamePartitionDist(s, t), -1, -1
 	}
 	best := graph.Infinity
 	bestS, bestT := model.DoorID(-1), model.DoorID(-1)

@@ -429,11 +429,7 @@ func (t *Tree) DoorDist(a, b model.DoorID) float64 {
 func (t *Tree) Distance(s, d model.Location) float64 {
 	v := t.venue
 	if s.Partition == d.Partition {
-		p := v.Partition(s.Partition)
-		if p.TraversalCost > 0 {
-			return p.TraversalCost
-		}
-		return s.Point.PlanarDist(d.Point)
+		return v.SamePartitionDist(s, d)
 	}
 	best := graph.Infinity
 	for _, ds := range v.UsefulDoors(s.Partition, d.Partition) {

@@ -162,11 +162,7 @@ func (ix *Index) Path(s, t model.Location) (float64, []model.DoorID) {
 func (ix *Index) search(sc *graph.SearchScratch, s, t model.Location) float64 {
 	v := ix.venue
 	if s.Partition == t.Partition {
-		p := v.Partition(s.Partition)
-		if p.TraversalCost > 0 {
-			return p.TraversalCost
-		}
-		return s.Point.PlanarDist(t.Point)
+		return v.SamePartitionDist(s, t)
 	}
 	// Rnets containing an endpoint are traversed edge by edge; all other
 	// Rnets are traversed via shortcuts only.

@@ -275,7 +275,7 @@ func (t *Tree) planBatch(pairs []index.LocationPair, out []float64) *batchState 
 	st.keys = st.keys[:0]
 	for i, q := range pairs {
 		if q.S.Partition == q.T.Partition {
-			out[i] = directIntraPartition(t.venue, q.S, q.T)
+			out[i] = t.venue.SamePartitionDist(q.S, q.T)
 			continue
 		}
 		ls := t.Leaf(q.S.Partition)

@@ -856,17 +856,22 @@ func (oi *ObjectIndex) scanLeaf(ep *objEpoch, q model.Location, qLeaf, leaf Node
 		return
 	}
 	if leaf == qLeaf {
-		// Objects co-located with the query in the same leaf: compute the
-		// exact distance with one D2D search per object on the query's own
-		// scratch. These searches dominate kNN and Range: each costs about
-		// as much as a same-leaf Distance (~180 µs on Menzies full, see
-		// Tree.Distance), and with 250 objects a KNN(k=5) there measured
-		// ~3.8 ms on a 2-vCPU Intel Xeon.
-		d2d := t.venue.D2D()
+		// Objects co-located with the query in the same leaf: their exact
+		// distances come from one D2D search on the query's own scratch,
+		// targeted at every object's partition and stopped at the current
+		// pruning bound. A distance beyond the bound comes back above it,
+		// and the collector drops it as it would the exact value, since the
+		// bound only shrinks while the leaf is added. Each search costs
+		// about a same-leaf Distance (see Tree.Distance), so on Menzies full
+		// with 250 objects a KNN(k=5) measured 0.57 ms with one search
+		// against 3.7 ms with one per object (BenchmarkKNN/Men-full, 2-vCPU
+		// Intel Xeon).
+		dists := slices.Grow(oc.leafDists[:0], len(lo.locs))[:len(lo.locs)]
+		t.venue.D2D().LocationDists(&oc.search, q, lo.locs, dists, results.bound())
 		for i, id := range lo.ids {
-			d, _ := d2d.LocationSearch(&oc.search, q, lo.locs[i])
-			results.add(id, d)
+			results.add(id, dists[i])
 		}
+		oc.leafDists = dists
 		return
 	}
 	accessDist, _ := nd.get(leaf)
@@ -922,18 +927,12 @@ func (rc *resultCollector) bound() float64 {
 	return worst
 }
 
+// add offers an object at its distance from the query. A query offers each
+// object once: bestFirst scans each leaf at most once, and every object
+// lives in one leaf.
 func (rc *resultCollector) add(objectID ObjectID, dist float64) {
 	if dist > rc.radius {
 		return
-	}
-	// Replace an existing entry for the same object if this one is closer.
-	for i := range rc.results {
-		if rc.results[i].ObjectID == objectID {
-			if dist < rc.results[i].Dist {
-				rc.results[i].Dist = dist
-			}
-			return
-		}
 	}
 	rc.results = append(rc.results, index.ObjectResult{ObjectID: objectID, Dist: dist})
 	if rc.k > 0 && len(rc.results) > rc.k {

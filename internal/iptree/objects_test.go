@@ -1,10 +1,13 @@
 package iptree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"viptree/internal/bench"
+	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 	"viptree/internal/venuegen"
@@ -13,15 +16,20 @@ import (
 // bruteForceKNN computes the exact k nearest objects with plain Dijkstra
 // expansions; it is the ground truth for the Algorithm 5 tests.
 func bruteForceKNN(v *model.Venue, objects []model.Location, q model.Location, k int) []index.ObjectResult {
-	all := bruteForceAll(v, objects, q)
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
+	return nearest(bruteForceAll(v, objects, q), k)
 }
 
 func bruteForceRange(v *model.Venue, objects []model.Location, q model.Location, r float64) []index.ObjectResult {
-	all := bruteForceAll(v, objects, q)
+	return within(bruteForceAll(v, objects, q), r)
+}
+
+// nearest and within cut bruteForceAll's sorted answer down to a kNN and a
+// range answer, so a test can ask several k and r of one scan.
+func nearest(all []index.ObjectResult, k int) []index.ObjectResult {
+	return all[:min(k, len(all))]
+}
+
+func within(all []index.ObjectResult, r float64) []index.ObjectResult {
 	var out []index.ObjectResult
 	for _, a := range all {
 		if a.Dist <= r {
@@ -31,11 +39,15 @@ func bruteForceRange(v *model.Venue, objects []model.Location, q model.Location,
 	return out
 }
 
+// bruteForceAll runs one exact D2D search per object, all on one scratch,
+// and returns every object sorted by distance and then ID.
 func bruteForceAll(v *model.Venue, objects []model.Location, q model.Location) []index.ObjectResult {
 	d2d := v.D2D()
+	var sc graph.SearchScratch
 	out := make([]index.ObjectResult, 0, len(objects))
 	for id, o := range objects {
-		out = append(out, index.ObjectResult{ObjectID: id, Dist: d2d.LocationDist(q, o)})
+		d, _ := d2d.LocationSearch(&sc, q, o)
+		out = append(out, index.ObjectResult{ObjectID: id, Dist: d})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
@@ -217,4 +229,65 @@ func TestKNNManyObjectsClustered(t *testing.T) {
 	got := oi.KNN(q, 5)
 	want := bruteForceKNN(v, objs, q, 5)
 	sameResultSet(t, got, want)
+}
+
+// TestKNNAndRangeInLargestLeaf packs 60 objects into the Menzies full leaf
+// with the most doors (109; the venues above keep every leaf at 31 or
+// fewer) and checks KNN and Range against the brute-force scan, from
+// sources inside that leaf, where the query's own-leaf search finds every
+// object, and from sources outside it.
+func TestKNNAndRangeInLargestLeaf(t *testing.T) {
+	v := venuegen.Menzies(venuegen.ScaleFull)
+	vt := MustBuildVIPTree(v, Options{})
+	largest := NodeID(-1)
+	for n := range vt.nodes {
+		node := &vt.nodes[n]
+		if node.IsLeaf() && (largest < 0 || len(node.Matrix.rows) > len(vt.nodes[largest].Matrix.rows)) {
+			largest = NodeID(n)
+		}
+	}
+	parts := vt.nodes[largest].Partitions
+	rng := rand.New(rand.NewSource(29))
+	inLeaf := func() model.Location { return v.RandomLocationIn(parts[rng.Intn(len(parts))], rng) }
+	objs := make([]model.Location, 60)
+	for i := range objs {
+		objs[i] = inLeaf()
+	}
+	oi := vt.IndexObjects(objs)
+	for i := 0; i < 12; i++ {
+		q := inLeaf()
+		if i%4 == 3 {
+			q = v.RandomLocation(rng)
+		}
+		all := bruteForceAll(v, objs, q)
+		for _, k := range []int{1, 5, 20} {
+			sameResultSet(t, oi.KNN(q, k), nearest(all, k))
+		}
+		for _, r := range []float64{10, 50, 100} {
+			sameResultSet(t, oi.Range(q, r), within(all, r))
+		}
+	}
+}
+
+// TestRangeUnboundedReturnsEachObjectOnce: a Range with an infinite radius
+// over the 250 objects of the Menzies full bench fixture returns every
+// object exactly once, whichever leaf the query starts in.
+func TestRangeUnboundedReturnsEachObjectOnce(t *testing.T) {
+	v := venuegen.Menzies(venuegen.ScaleFull)
+	vt := MustBuildVIPTree(v, Options{})
+	objs := bench.Objects(v, 250, 7)
+	oi := vt.IndexObjects(objs)
+	for _, q := range bench.Points(v, 32, 21) {
+		got := oi.Range(q, math.Inf(1))
+		if len(got) != len(objs) {
+			t.Fatalf("Range(%v, +Inf) returned %d results, want %d", q, len(got), len(objs))
+		}
+		seen := make([]bool, len(objs))
+		for _, r := range got {
+			if seen[r.ObjectID] {
+				t.Fatalf("Range(%v, +Inf) returned object %d twice", q, r.ObjectID)
+			}
+			seen[r.ObjectID] = true
+		}
+	}
 }

@@ -267,13 +267,3 @@ func (t *Tree) distanceInternal(s, d model.Location, sc *distScratch) (float64, 
 	}
 	return best, sdS, sdD, bestPair
 }
-
-// directIntraPartition is the walking distance between two locations in the
-// same partition.
-func directIntraPartition(v *model.Venue, s, d model.Location) float64 {
-	p := v.Partition(s.Partition)
-	if p.TraversalCost > 0 {
-		return p.TraversalCost
-	}
-	return s.Point.PlanarDist(d.Point)
-}

@@ -275,8 +275,10 @@ type objScratch struct {
 	// of the combination loop.
 	cmBase []float64
 	cmRows []int32
-	// search runs scanLeaf's exact D2D searches in the query's own leaf.
-	search graph.SearchScratch
+	// search runs scanLeaf's exact D2D search in the query's own leaf, and
+	// leafDists receives its per-object distances.
+	search    graph.SearchScratch
+	leafDists []float64
 }
 
 // bumpObjEpoch starts a fresh per-object marking generation for a set of n

@@ -13,7 +13,9 @@ import (
 //
 // The vertex identifier of door d is int(d). The graph is immutable after
 // construction; the search scratch of LocationDist and LocationPath is
-// pooled, so both are safe for concurrent callers.
+// pooled, so both are safe for concurrent callers. LocationSearch and
+// LocationDists run on caller-owned scratch instead: the first answers one
+// pair, the second every location of a set from one source in one search.
 type D2DGraph struct {
 	Graph *graph.Graph
 	venue *Venue
@@ -96,11 +98,10 @@ func (d *D2DGraph) LocationPath(s, t Location) (float64, []DoorID) {
 }
 
 // LocationSearch is the search behind LocationDist and LocationPath, run on
-// caller-owned scratch. Locations in one partition are the direct
-// intra-partition distance apart (a path leaving and re-entering through
-// doors cannot beat it in convex partitions). Otherwise it runs one
-// multi-source Dijkstra seeded at the doors of s's partition with the walk
-// from s to each, which stops once every door of t's partition is settled.
+// caller-owned scratch. Locations in one partition are
+// Venue.SamePartitionDist apart. Otherwise it runs one multi-source
+// Dijkstra seeded at the doors of s's partition with the walk from s to
+// each, which stops once every door of t's partition is settled.
 //
 // It returns the distance and the door through which the shortest path
 // enters t's partition; graph.AppendPath(dst, sc, int(last)) then recovers
@@ -109,22 +110,37 @@ func (d *D2DGraph) LocationPath(s, t Location) (float64, []DoorID) {
 func (d *D2DGraph) LocationSearch(sc *graph.SearchScratch, s, t Location) (dist float64, last DoorID) {
 	v := d.venue
 	if s.Partition == t.Partition {
-		return directIntraDist(v, s, t), -1
+		return v.SamePartitionDist(s, t), -1
 	}
 	tp := v.Partition(t.Partition)
 	if len(tp.Doors) == 0 { // a search without targets would run to exhaustion
 		return graph.Infinity, -1
 	}
-	sc.Reset(len(v.Doors))
-	for _, did := range v.Partition(s.Partition).Doors {
-		sc.Seed(int(did), v.DistToDoor(s, did))
-	}
+	d.seed(sc, s)
 	for _, did := range tp.Doors {
 		sc.Target(int(did))
 	}
 	sc.Run(d.Graph)
+	return d.enter(sc, t)
+}
+
+// seed starts a search on sc from s: every door of s's partition, at the
+// walk from s to it.
+func (d *D2DGraph) seed(sc *graph.SearchScratch, s Location) {
+	v := d.venue
+	sc.Reset(len(v.Doors))
+	for _, did := range v.Partition(s.Partition).Doors {
+		sc.Seed(int(did), v.DistToDoor(s, did))
+	}
+}
+
+// enter returns the distance from the search's source to t through the
+// reached door of t's partition that gives the least, and that door
+// (Infinity and -1 when the search reached none).
+func (d *D2DGraph) enter(sc *graph.SearchScratch, t Location) (dist float64, last DoorID) {
+	v := d.venue
 	dist, last = graph.Infinity, -1
-	for _, did := range tp.Doors {
+	for _, did := range v.Partition(t.Partition).Doors {
 		if dv := sc.Dist(int(did)); dv != graph.Infinity {
 			if total := dv + v.DistToDoor(t, did); total < dist {
 				dist, last = total, did
@@ -134,12 +150,46 @@ func (d *D2DGraph) LocationSearch(sc *graph.SearchScratch, s, t Location) (dist 
 	return dist, last
 }
 
-// directIntraDist is the walking distance between two locations in the same
-// partition.
-func directIntraDist(v *Venue, s, t Location) float64 {
-	p := v.Partition(s.Partition)
-	if p.TraversalCost > 0 {
-		return p.TraversalCost
+// LocationDists writes the distance from s to ts[i] into out[i] for every i
+// (out must hold len(ts) values), with one multi-target search on
+// caller-owned scratch in place of one LocationSearch per location. The
+// search is LocationSearch's, seeded and read out the same way, but it
+// targets the doors of every location's partition and stops early at
+// bound. Targets only decide when a search stops, never the order in which
+// it settles vertices, and a settled distance never changes, so out[i]
+// equals LocationSearch(sc, s, ts[i]) bit for bit whenever that distance is
+// at most bound. Every other location comes back with a value above bound.
+// A location in s's partition gets Venue.SamePartitionDist, and one whose
+// partition has no doors gets Infinity; when no location needs a door, no
+// search runs.
+func (d *D2DGraph) LocationDists(sc *graph.SearchScratch, s Location, ts []Location, out []float64, bound float64) {
+	v := d.venue
+	searched := false
+	for i, t := range ts {
+		doors := v.Partition(t.Partition).Doors
+		switch {
+		case t.Partition == s.Partition:
+			out[i] = v.SamePartitionDist(s, t)
+		case len(doors) == 0:
+			out[i] = graph.Infinity
+		default:
+			if !searched {
+				searched = true
+				d.seed(sc, s)
+				sc.Limit(bound)
+			}
+			for _, did := range doors {
+				sc.Target(int(did))
+			}
+		}
 	}
-	return s.Point.PlanarDist(t.Point)
+	if !searched { // a search without targets would run to exhaustion
+		return
+	}
+	sc.Run(d.Graph)
+	for i, t := range ts {
+		if t.Partition != s.Partition {
+			out[i], _ = d.enter(sc, t) // Infinity again for a partition without doors
+		}
+	}
 }

@@ -290,6 +290,18 @@ func (v *Venue) DistToDoor(loc Location, d DoorID) float64 {
 	return loc.Point.PlanarDist(v.Door(d).Loc)
 }
 
+// SamePartitionDist returns the walking distance between two locations in
+// one partition: its traversal cost when it has one, otherwise the planar
+// Euclidean distance. Within a convex partition no path through its doors
+// is shorter.
+func (v *Venue) SamePartitionDist(s, t Location) float64 {
+	part := v.Partition(s.Partition)
+	if part.TraversalCost > 0 {
+		return part.TraversalCost
+	}
+	return s.Point.PlanarDist(t.Point)
+}
+
 // Floors returns the number of distinct floors spanned by the venue's
 // partitions.
 func (v *Venue) Floors() int {
