@@ -20,7 +20,8 @@
 // through a single-writer update log (index.ChangeLogger), update kinds
 // are funneled through that writer and reads resolve against the current
 // published epoch with zero lock operations; Engine.ChangeLog exposes the
-// log so callers can tail the change feed.
+// log's sequence watermarks, and a durable engine (Open) makes its
+// write-ahead log the log's follower.
 //
 //	eng := engine.New(vipTree, engine.Options{Objects: objectIndex})
 //	results := eng.ExecuteBatch(queries) // fans out over a worker pool
@@ -261,10 +262,9 @@ func (e *Engine) Mutable() index.MutableObjectIndexer { return e.mutable }
 
 // ChangeLog returns the update log of the attached object querier, or nil
 // when the querier does not route its mutations through one
-// (index.ChangeLogger). Through it callers tail the ordered change feed
-// (Subscribe) and observe the applied-epoch lag (HeadSeq/PublishedSeq) —
-// the engine's update kinds are applied via this log, so the feed records
-// exactly the updates the engine executed.
+// (index.ChangeLogger). Through it callers observe the applied-epoch lag
+// (HeadSeq/PublishedSeq); the engine's update kinds are applied via this
+// log, so its head counts exactly the updates the engine executed.
 func (e *Engine) ChangeLog() *updatelog.Log {
 	if e.logged == nil {
 		return nil

@@ -42,10 +42,10 @@ type WALRecovery struct {
 // recovered and how long it took.
 //
 // The object querier must route its mutations through an update log
-// (index.ChangeLogger) — that feed is what the WAL persists. Mid-log
-// corruption, a gap between the snapshot stamp and the WAL's first
-// retained record, or a replay mismatch fail the open rather than serve
-// silently incomplete state.
+// (index.ChangeLogger): the WAL becomes that log's follower and persists
+// every batch it applies. Mid-log corruption, a gap between the snapshot
+// stamp and the WAL's first retained record, or a replay mismatch fail the
+// open rather than serve silently incomplete state.
 //
 // While the WAL is degraded (persistent append/fsync failures), update
 // kinds return wal.ErrDegradedReadOnly and reads keep serving; see

@@ -37,14 +37,6 @@ func (p Point) PlanarDist(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// SameFloor reports whether p and q lie on the same floor.
-func (p Point) SameFloor(q Point) bool { return p.Floor == q.Floor }
-
-// Midpoint returns the planar midpoint of p and q on p's floor.
-func (p Point) Midpoint(q Point) Point {
-	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2, Floor: p.Floor}
-}
-
 // Rect is an axis-aligned rectangle on a single floor. It describes the
 // footprint of an indoor partition (room, hallway, staircase landing).
 type Rect struct {

@@ -65,24 +65,6 @@ func TestPlanarDistTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestSameFloor(t *testing.T) {
-	if !(Point{Floor: 3}).SameFloor(Point{Floor: 3}) {
-		t.Error("points on floor 3 should be on the same floor")
-	}
-	if (Point{Floor: 3}).SameFloor(Point{Floor: 4}) {
-		t.Error("points on floors 3 and 4 should not be on the same floor")
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	p := Point{0, 0, 2}
-	q := Point{10, 4, 2}
-	m := p.Midpoint(q)
-	if m.X != 5 || m.Y != 2 || m.Floor != 2 {
-		t.Errorf("Midpoint = %v, want (5, 2, F2)", m)
-	}
-}
-
 func TestNewRectNormalises(t *testing.T) {
 	r := NewRect(5, 9, 1, 3, 0)
 	if r.MinX != 1 || r.MaxX != 5 || r.MinY != 3 || r.MaxY != 9 {

@@ -5,15 +5,14 @@
 // caller-owned buffers), with thin single-source and point-to-point
 // wrappers.
 //
-// The door-to-door (D2D) graph, the accessibility base (AB) graph and the
-// level-l graphs used to build IP-Tree distance matrices (Section 2.1.2 of
-// the paper) are all instances of this package's Graph type.
+// The door-to-door (D2D) graph and the level-l graphs used to build IP-Tree
+// distance matrices (Section 2.1.2 of the paper) are both instances of this
+// package's Graph type.
 package graph
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Infinity is the distance reported for unreachable vertices.
@@ -95,9 +94,6 @@ func (g *Graph) Neighbors(u int) []Edge {
 	return g.adj[u]
 }
 
-// OutDegree returns the number of outgoing half-edges of u.
-func (g *Graph) OutDegree(u int) int { return len(g.Neighbors(u)) }
-
 // MaxOutDegree returns the largest out-degree over all vertices, and 0 for an
 // empty graph. The paper highlights that indoor D2D graphs have out-degrees
 // of up to 400 compared with 2–4 for road networks.
@@ -156,37 +152,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return count == n
-}
-
-// Components returns the connected components of g (treating arcs as
-// undirected for reachability), each sorted ascending, largest first.
-func (g *Graph) Components() [][]int {
-	n := len(g.adj)
-	seen := make([]bool, n)
-	var comps [][]int
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, e := range g.adj[u] {
-				if !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
-	return comps
 }
 
 // Clone returns a deep copy of g.

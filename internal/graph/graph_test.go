@@ -29,9 +29,6 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.NumArcs(); got != 8 {
 		t.Errorf("NumArcs = %d, want 8", got)
 	}
-	if got := g.OutDegree(0); got != 2 {
-		t.Errorf("OutDegree(0) = %d, want 2", got)
-	}
 	if got := g.MaxOutDegree(); got != 2 {
 		t.Errorf("MaxOutDegree = %d, want 2", got)
 	}
@@ -81,23 +78,6 @@ func TestConnected(t *testing.T) {
 	}
 	if New(1).Connected() != true {
 		t.Error("single-vertex graph is trivially connected")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("Components count = %d, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 {
-		t.Errorf("largest component size = %d, want 3", len(comps[0]))
-	}
-	if comps[0][0] != 0 || comps[0][1] != 1 || comps[0][2] != 2 {
-		t.Errorf("largest component = %v, want [0 1 2]", comps[0])
 	}
 }
 

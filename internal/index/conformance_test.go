@@ -16,6 +16,7 @@ import (
 	"viptree/internal/index"
 	"viptree/internal/iptree"
 	"viptree/internal/model"
+	"viptree/internal/updatelog"
 	"viptree/internal/venuegen"
 )
 
@@ -42,7 +43,7 @@ var (
 var _ index.MutableObjectIndexer = (*iptree.ObjectIndex)(nil)
 
 // Compile-time assertion for the change-log capability: the shared object
-// index funnels its updates through a single-writer log with a change feed.
+// index funnels its updates through a single-writer update log.
 var _ index.ChangeLogger = (*iptree.ObjectIndex)(nil)
 
 // Compile-time assertions for the batched-distance capability: the two tree
@@ -283,12 +284,11 @@ func TestMutableObjectIndexerConformance(t *testing.T) {
 }
 
 // TestChangeLoggerConformance pins down which object queriers route their
-// mutations through an update log with a change feed: exactly those of the
-// IP-Tree and VIP-Tree (the same set that is mutable at all — a mutable
-// querier without a log would silently lose feed consumers, so the
-// capability must track MutableObjectIndexer deliberately). For
-// implementers, applied updates must advance the log head and be
-// observable through the feed.
+// mutations through an update log: exactly those of the IP-Tree and
+// VIP-Tree (the same set that is mutable at all — a mutable querier without
+// a log could not be made durable by a WAL, so the capability must track
+// MutableObjectIndexer deliberately). For implementers, applied updates
+// must advance the log head and reach the log's follower.
 func TestChangeLoggerConformance(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "changelog", Floors: 2, RoomsPerHallway: 8, Seed: 6,
@@ -332,6 +332,13 @@ func TestChangeLoggerConformance(t *testing.T) {
 		if head := log.HeadSeq(); head != 0 {
 			t.Errorf("index %q: fresh log head = %d, want 0", name, head)
 		}
+		var recs []updatelog.Record
+		if err := log.SetFollower(func(applied []updatelog.Record) {
+			recs = append(recs, applied...)
+		}); err != nil {
+			t.Errorf("index %q: SetFollower: %v", name, err)
+			continue
+		}
 		id, err := logged.Insert(v.RandomLocation(rng))
 		if err != nil {
 			t.Errorf("index %q: Insert: %v", name, err)
@@ -346,11 +353,8 @@ func TestChangeLoggerConformance(t *testing.T) {
 		if pub := log.PublishedSeq(); pub != log.HeadSeq() {
 			t.Errorf("index %q: published seq %d lags head %d at quiescence", name, pub, log.HeadSeq())
 		}
-		recs, err := log.Records(0, 0)
-		if err != nil {
-			t.Errorf("index %q: Records: %v", name, err)
-		} else if len(recs) != 2 {
-			t.Errorf("index %q: log records = %d, want 2", name, len(recs))
+		if len(recs) != 2 {
+			t.Errorf("index %q: follower got %d records, want 2", name, len(recs))
 		}
 	}
 	for name := range wantLogged {

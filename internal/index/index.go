@@ -231,10 +231,10 @@ type MutableObjectIndexer interface {
 }
 
 // ChangeLogger is a MutableObjectIndexer whose mutations are funneled
-// through a single-writer update log with an exportable change feed: every
-// applied update gets a monotonic, gap-free sequence number, queries serve
-// from immutable published epochs (lock-free reads), and external systems
-// can tail the ordered record of updates via the log's Subscribe. The
+// through a single-writer update log: every applied update gets a
+// monotonic, gap-free sequence number, queries serve from immutable
+// published epochs (lock-free reads), and the log hands each applied batch
+// to its one follower, the write-ahead log of a durable engine. The
 // IP-Tree and VIP-Tree object indexes implement the capability; the
 // baselines do not (their object sets are rebuilt, not mutated).
 // conformance_test.go pins down the set.

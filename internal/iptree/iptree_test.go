@@ -1,10 +1,12 @@
 package iptree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"viptree/internal/bench"
 	"viptree/internal/model"
 	"viptree/internal/venuegen"
 )
@@ -255,18 +257,81 @@ func verifyPath(t *testing.T, v *model.Venue, s, d model.Location, dist float64,
 	}
 	// Sum the leg lengths: consecutive doors must be connected in the D2D
 	// graph (a final edge), and the total must match the distance.
+	total, err := walkedLength(v, s, d, doors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approxEqual(total, dist) {
+		t.Fatalf("path legs sum to %v, reported distance %v (doors %v)", total, dist, doors)
+	}
+}
+
+// walkedLength sums the legs of a door path from s to d: the walk to the
+// first door, the D2D edge between each consecutive pair of doors, and the
+// walk from the last door. An empty path is the walk within one partition.
+// It fails on an empty path between partitions and on two consecutive
+// doors that no D2D edge joins.
+func walkedLength(v *model.Venue, s, d model.Location, doors []model.DoorID) (float64, error) {
+	if len(doors) == 0 {
+		if s.Partition != d.Partition {
+			return 0, fmt.Errorf("empty path from partition %d to %d", s.Partition, d.Partition)
+		}
+		return v.SamePartitionDist(s, d), nil
+	}
 	g := v.D2D().Graph
 	total := v.DistToDoor(s, doors[0])
 	for i := 1; i < len(doors); i++ {
 		w, ok := g.EdgeWeight(int(doors[i-1]), int(doors[i]))
 		if !ok {
-			t.Fatalf("path contains non-adjacent doors %d -> %d", doors[i-1], doors[i])
+			return 0, fmt.Errorf("path contains non-adjacent doors %d -> %d", doors[i-1], doors[i])
 		}
 		total += w
 	}
-	total += v.DistToDoor(d, doors[len(doors)-1])
-	if !approxEqual(total, dist) {
-		t.Fatalf("path legs sum to %v, reported distance %v (doors %v)", total, dist, doors)
+	return total + v.DistToDoor(d, doors[len(doors)-1]), nil
+}
+
+// TestPathDecompositionFallback checks Path over the 2,000 uniform pairs of
+// bench.Pairs on CL-2 small. There the VIP-Tree's matrices cannot
+// decompose some partial edges, and Path recovers them with the graph
+// search of appendFallbackPath (23 of the pairs); the IP-Tree decomposes
+// every pair. For both trees, each path walks D2D edges, its length matches
+// the distance within 1e-6, and Path's distance equals Distance bit for
+// bit.
+func TestPathDecompositionFallback(t *testing.T) {
+	v, err := venuegen.Named("CL-2", venuegen.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := MustBuildIPTree(v, Options{})
+	vt := MustBuildVIPTree(v, Options{})
+	pairs := bench.Pairs(v, 2000, 7)
+	trees := []struct {
+		name     string
+		path     func(s, d model.Location) (float64, []model.DoorID)
+		distance func(s, d model.Location) float64
+	}{
+		{"IP-Tree", ip.Path, ip.Distance},
+		{"VIP-Tree", vt.Path, vt.Distance},
+	}
+	for _, tr := range trees {
+		t.Run(tr.name, func(t *testing.T) {
+			for i, p := range pairs {
+				dist, doors := tr.path(p.S, p.T)
+				if want := tr.distance(p.S, p.T); math.Float64bits(dist) != math.Float64bits(want) {
+					t.Fatalf("pair %d: Path distance %v, Distance %v", i, dist, want)
+				}
+				if dist == Infinite {
+					continue
+				}
+				walked, err := walkedLength(v, p.S, p.T, doors)
+				if err != nil {
+					t.Fatalf("pair %d: %v", i, err)
+				}
+				if math.Abs(walked-dist) > 1e-6 {
+					t.Fatalf("pair %d: path walks %v, distance %v (doors %v)", i, walked, dist, doors)
+				}
+			}
+		})
 	}
 }
 

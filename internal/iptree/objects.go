@@ -148,8 +148,8 @@ func (m *countedMutex) Ops() uint64 { return m.ops.Load() }
 // object at its old location or its new one, never at both or neither
 // (this strengthens the pre-epoch design, whose cross-leaf moves were
 // documented as non-atomic). When Insert/Delete/Move returns, the update
-// is visible to all subsequent queries. ChangeLog exposes the ordered,
-// gap-free feed of applied updates.
+// is visible to all subsequent queries. ChangeLog exposes the update log,
+// whose follower gets every applied update in order.
 type ObjectIndex struct {
 	tree *Tree
 	name string
@@ -575,13 +575,11 @@ func (oi *ObjectIndex) NumObjects() int {
 // applied update. Queries never advance it.
 func (oi *ObjectIndex) Epoch() uint64 { return oi.cur.Load().seq }
 
-// ChangeLog returns the update log behind the index: the ordered, gap-free
-// record of every applied update. Subscribe on it to tail the change feed;
-// HeadSeq/PublishedSeq report the applied-epoch lag. The log's history
-// grows by one record per applied update until reclaimed: long-running
-// indexes under sustained churn should periodically call
-// Truncate(PublishedSeq()) on it — unconsumed subscriber positions are
-// always retained, so truncation never breaks the feed contract.
+// ChangeLog returns the update log behind the index, which numbers every
+// applied update gap-free. HeadSeq/PublishedSeq report the applied-epoch
+// lag, and SetFollower attaches the one consumer of the applied records (a
+// write-ahead log). The log keeps no record itself, so an index under
+// sustained churn holds no more memory than its objects.
 func (oi *ObjectIndex) ChangeLog() *updatelog.Log { return oi.log }
 
 // currentEpoch pins the published epoch: one atomic load, no locks. The

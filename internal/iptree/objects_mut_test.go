@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -436,4 +437,43 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	for err := range errs {
 		t.Errorf("updater error: %v", err)
 	}
+}
+
+// TestMovesRetainNoHistory pins that a non-durable object index under
+// sustained churn holds no more memory than its objects: 200,000 moves may
+// grow the live heap, measured after a full collection, by less than 1 MB.
+// An update log that kept every applied record (56 B each) would grow it by
+// over 11 MB.
+func TestMovesRetainNoHistory(t *testing.T) {
+	v := venuegen.PaperExample()
+	tree := MustBuildVIPTree(v, Options{})
+	oi := tree.IndexObjects(randomObjects(v, 200, 3))
+	locs := randomObjects(v, 4096, 4)
+	move := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := oi.Move(i%200, locs[i%len(locs)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Let the leaf lists reach their steady-state capacity first.
+	move(len(locs))
+	before := liveHeap()
+	const moves = 200_000
+	move(moves)
+	after := liveHeap()
+	runtime.KeepAlive(oi)
+	if got := oi.ChangeLog().HeadSeq(); got != moves+uint64(len(locs)) {
+		t.Fatalf("log head %d after %d moves", got, moves+len(locs))
+	}
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("%d moves grew the live heap by %.1f MB, want < 1 MB", moves, float64(after-before)/(1<<20))
+	}
+	t.Logf("%d moves: live heap %d -> %d bytes", moves, before, after)
 }

@@ -61,20 +61,8 @@ func TestQuickIPPathIsWalkable(t *testing.T) {
 		if s.Partition == d.Partition {
 			return len(doors) == 0
 		}
-		if len(doors) == 0 {
-			return false
-		}
-		g := v.D2D().Graph
-		total := v.DistToDoor(s, doors[0])
-		for i := 1; i < len(doors); i++ {
-			w, ok := g.EdgeWeight(int(doors[i-1]), int(doors[i]))
-			if !ok {
-				return false
-			}
-			total += w
-		}
-		total += v.DistToDoor(d, doors[len(doors)-1])
-		return math.Abs(total-dist) < 1e-6
+		total, err := walkedLength(v, s, d, doors)
+		return err == nil && math.Abs(total-dist) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

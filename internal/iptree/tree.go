@@ -236,9 +236,6 @@ func (t *Tree) Height() int { return t.nodes[t.root].Level }
 // Leaf returns the leaf node containing partition p.
 func (t *Tree) Leaf(p model.PartitionID) NodeID { return t.leafOfPartition[p] }
 
-// LeafOfLocation returns the leaf node containing the location's partition.
-func (t *Tree) LeafOfLocation(l model.Location) NodeID { return t.Leaf(l.Partition) }
-
 // doorIsAccess reports whether door d is an access door of at least one node.
 func (t *Tree) doorIsAccess(d model.DoorID) bool { return !t.pk.accessNodesOfDoor.empty(d) }
 

@@ -112,12 +112,8 @@ func (d *D2DGraph) LocationSearch(sc *graph.SearchScratch, s, t Location) (dist 
 	if s.Partition == t.Partition {
 		return v.SamePartitionDist(s, t), -1
 	}
-	tp := v.Partition(t.Partition)
-	if len(tp.Doors) == 0 { // a search without targets would run to exhaustion
-		return graph.Infinity, -1
-	}
 	d.seed(sc, s)
-	for _, did := range tp.Doors {
+	for _, did := range v.Partition(t.Partition).Doors {
 		sc.Target(int(did))
 	}
 	sc.Run(d.Graph)
@@ -159,28 +155,23 @@ func (d *D2DGraph) enter(sc *graph.SearchScratch, t Location) (dist float64, las
 // it settles vertices, and a settled distance never changes, so out[i]
 // equals LocationSearch(sc, s, ts[i]) bit for bit whenever that distance is
 // at most bound. Every other location comes back with a value above bound.
-// A location in s's partition gets Venue.SamePartitionDist, and one whose
-// partition has no doors gets Infinity; when no location needs a door, no
-// search runs.
+// A location in s's partition gets Venue.SamePartitionDist; when every
+// location is in s's partition, no search runs.
 func (d *D2DGraph) LocationDists(sc *graph.SearchScratch, s Location, ts []Location, out []float64, bound float64) {
 	v := d.venue
 	searched := false
 	for i, t := range ts {
-		doors := v.Partition(t.Partition).Doors
-		switch {
-		case t.Partition == s.Partition:
+		if t.Partition == s.Partition {
 			out[i] = v.SamePartitionDist(s, t)
-		case len(doors) == 0:
-			out[i] = graph.Infinity
-		default:
-			if !searched {
-				searched = true
-				d.seed(sc, s)
-				sc.Limit(bound)
-			}
-			for _, did := range doors {
-				sc.Target(int(did))
-			}
+			continue
+		}
+		if !searched {
+			searched = true
+			d.seed(sc, s)
+			sc.Limit(bound)
+		}
+		for _, did := range v.Partition(t.Partition).Doors {
+			sc.Target(int(did))
 		}
 	}
 	if !searched { // a search without targets would run to exhaustion
@@ -189,7 +180,7 @@ func (d *D2DGraph) LocationDists(sc *graph.SearchScratch, s Location, ts []Locat
 	sc.Run(d.Graph)
 	for i, t := range ts {
 		if t.Partition != s.Partition {
-			out[i], _ = d.enter(sc, t) // Infinity again for a partition without doors
+			out[i], _ = d.enter(sc, t)
 		}
 	}
 }

@@ -104,31 +104,28 @@ func TestLocationDistsMatchesLocationSearch(t *testing.T) {
 	}
 }
 
-// TestLocationDistsEdgeCases covers a partition without doors (as source and
-// as location), locations in the source's partition, and location sets that
-// need no search, on a floor of three rooms off a hallway. The Builder
-// refuses a partition without doors, so the test takes the third room's
-// door list away after Build.
+// TestLocationDistsEdgeCases covers locations in the source's partition and
+// location sets that need no search, on a floor of three rooms off a
+// hallway.
 func TestLocationDistsEdgeCases(t *testing.T) {
-	b := model.NewBuilder("closet")
+	b := model.NewBuilder("three-rooms")
 	hall := b.AddPartition("hallway", model.ClassHallway, geom.NewRect(0, 10, 30, 14, 0), 0)
 	r1 := b.AddPartition("R1", model.ClassRoom, geom.NewRect(0, 14, 10, 20, 0), 0)
 	r2 := b.AddPartition("R2", model.ClassRoom, geom.NewRect(10, 14, 20, 20, 0), 0)
-	closet := b.AddPartition("closet", model.ClassRoom, geom.NewRect(20, 14, 30, 20, 0), 0)
+	r3 := b.AddPartition("R3", model.ClassRoom, geom.NewRect(20, 14, 30, 20, 0), 0)
 	b.AddDoor("d1", geom.Point{X: 5, Y: 14}, r1, hall)
 	b.AddDoor("d2", geom.Point{X: 15, Y: 14}, r2, hall)
-	b.AddDoor("d3", geom.Point{X: 25, Y: 14}, closet, hall)
+	b.AddDoor("d3", geom.Point{X: 25, Y: 14}, r3, hall)
 	v := b.MustBuild()
-	v.Partition(closet).Doors = nil
 	at := func(p model.PartitionID, x, y float64) model.Location {
 		return model.Location{Partition: p, Point: geom.Point{X: x, Y: y}}
 	}
-	s, shut := at(r1, 2, 18), at(closet, 22, 16)
-	ts := []model.Location{at(r2, 12, 19), at(closet, 25, 17), at(r1, 8, 15), at(hall, 25, 12)}
+	s := at(r1, 2, 18)
+	ts := []model.Location{at(r2, 12, 19), at(r3, 25, 17), at(r1, 8, 15), at(hall, 25, 12)}
 	for _, bound := range []float64{graph.Infinity, 10} {
-		got := checkLocationDists(t, v, []model.Location{s, shut}, ts, bound)
-		if got.samePartition != 2 {
-			t.Fatalf("same-partition comparisons %+v, want 2", got)
+		got := checkLocationDists(t, v, []model.Location{s}, ts, bound)
+		if got.samePartition != 1 {
+			t.Fatalf("same-partition comparisons %+v, want 1", got)
 		}
 	}
 

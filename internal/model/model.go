@@ -1,8 +1,7 @@
 // Package model implements the indoor data model used throughout the
 // repository: doors, indoor partitions (rooms, hallways, staircases, lifts),
-// venues, and the two graphs derived from them — the door-to-door (D2D)
-// graph and the accessibility base (AB) graph described in Section 1.2.2 of
-// the paper.
+// venues, and the door-to-door (D2D) graph derived from them (Section 1.2.2
+// of the paper).
 //
 // A venue is built with a Builder, which validates the topology and
 // materialises the D2D graph. All indexes in this repository (IP-Tree,
@@ -20,8 +19,7 @@ import (
 type DoorID int
 
 // PartitionID identifies an indoor partition within a venue. Partition IDs
-// are dense indices into Venue.Partitions and double as vertex identifiers
-// in the AB graph.
+// are dense indices into Venue.Partitions.
 type PartitionID int
 
 // NoPartition marks the absence of a partition, e.g. the outdoor side of a
@@ -140,23 +138,15 @@ type Partition struct {
 	Name   string
 	Class  Class
 	Bounds geom.Rect
-	// Doors lists the doors on the boundary of this partition.
+	// Doors lists the doors on the boundary of this partition. In a built
+	// venue it is never empty: Builder.Build refuses a partition without
+	// doors, and decoded venues pass through it too.
 	Doors []DoorID
 	// TraversalCost, when positive, overrides the intra-partition distance
 	// between every pair of the partition's doors. It models the walking
 	// cost (or travel time) of stairs, lifts and escalators, whose geometry
 	// does not reflect the effort of moving between floors.
 	TraversalCost float64
-}
-
-// HasDoor reports whether door d lies on the boundary of the partition.
-func (p *Partition) HasDoor(d DoorID) bool {
-	for _, q := range p.Doors {
-		if q == d {
-			return true
-		}
-	}
-	return false
 }
 
 // Venue is a complete indoor space: a set of partitions connected by doors,

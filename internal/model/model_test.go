@@ -278,28 +278,6 @@ func TestLocationDistAcrossPartitions(t *testing.T) {
 	}
 }
 
-func TestABGraph(t *testing.T) {
-	v, parts, _ := buildOfficeFloor(t)
-	ab := v.AB()
-	if ab.Graph.NumVertices() != v.NumPartitions() {
-		t.Errorf("AB vertices = %d, want %d", ab.Graph.NumVertices(), v.NumPartitions())
-	}
-	// 6 interior doors => 6 AB edges (entrance door is exterior).
-	if ab.Graph.NumEdges() != 6 {
-		t.Errorf("AB edges = %d, want 6", ab.Graph.NumEdges())
-	}
-	if hops := ab.HopCount(parts["R1"], parts["R6"]); hops != 2 {
-		t.Errorf("HopCount(R1,R6) = %d, want 2", hops)
-	}
-	if hops := ab.HopCount(parts["R1"], parts["hall"]); hops != 1 {
-		t.Errorf("HopCount(R1,hall) = %d, want 1", hops)
-	}
-	reach := ab.ReachablePartitions(parts["R1"])
-	if len(reach) != v.NumPartitions() {
-		t.Errorf("ReachablePartitions = %d, want all %d", len(reach), v.NumPartitions())
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	v, _, _ := buildOfficeFloor(t)
 	s := v.ComputeStats()

@@ -3,12 +3,9 @@
 // through one Log; a combining writer assigns monotonic sequence numbers,
 // applies batches to a shadow copy of the index through the Applier
 // interface, and publishes immutable epoch versions that readers access
-// without locks. Every applied update is retained in an ordered history
-// that change-feed subscribers replay exactly once, gap-free.
-//
-// The design follows the central-writer + changelog architecture: writers
-// never contend with readers, readers never block writers, and external
-// systems can tail the feed to mirror the object layer elsewhere.
+// without locks. The log keeps no history: it hands each applied batch,
+// in sequence order, to its one follower (the write-ahead log, when the
+// index is durable) and forgets it.
 package updatelog
 
 import (
@@ -50,7 +47,7 @@ func (op Op) String() string {
 // Record is one applied update. Seq numbers are assigned by the Log,
 // start at 1, and are gap-free over applied updates: an operation that
 // fails validation (e.g. deleting an unknown object) consumes no
-// sequence number and never appears in the history or the change feed.
+// sequence number and is never passed to the follower.
 type Record struct {
 	Seq uint64
 	Op  Op

@@ -1,7 +1,7 @@
 package updatelog
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -40,51 +40,53 @@ var requestPool = sync.Pool{
 // Log is a single-writer combining update log. Any goroutine may call
 // Submit; internally one submitter at a time becomes the leader, drains
 // the queue of pending requests, applies them in arrival order through
-// the Applier, publishes one epoch for the whole batch, and wakes the
-// waiters. This batches epoch publication under contention (many updates
-// per pointer swap) while keeping Submit synchronous: when Submit
-// returns, the update is applied AND visible in the published epoch.
+// the Applier, publishes one epoch for the whole batch, hands the applied
+// records to the follower, and wakes the waiters. This batches epoch
+// publication under contention (many updates per pointer swap) while
+// keeping Submit synchronous: when Submit returns, the update is applied
+// AND visible in the published epoch.
 //
 // Sequence numbers start at 1 and are assigned only to successfully
-// applied updates, so the history is gap-free by construction.
+// applied updates, so the sequence the follower sees is gap-free by
+// construction. The log itself keeps no applied record.
 type Log struct {
 	applier Applier
 
-	mu      sync.Mutex // guards queue, writing
-	queue   []*request
-	writing bool
+	mu       sync.Mutex // guards queue, writing, follower
+	queue    []*request
+	writing  bool
+	follower func(applied []Record)
 
-	start   uint64        // seq already reflected at construction
-	seq     uint64        // last assigned seq; owned by the leader
-	head    atomic.Uint64 // last applied seq
-	pub     atomic.Uint64 // last published seq (epoch visible to readers)
-	durable atomic.Uint64 // last seq persisted by a durability layer
-
-	histMu sync.Mutex
-	base   uint64                     // seq preceding hist[0]; start until truncated
-	hist   []Record                   // retained records, hist[i].Seq == base+i+1
-	subs   map[*Subscription]struct{} // active subscriptions, for Truncate's floor
-	cond   *sync.Cond
+	seq  uint64        // last assigned seq; owned by the leader
+	head atomic.Uint64 // last applied seq
+	pub  atomic.Uint64 // last published seq (epoch visible to readers)
 }
 
 // New returns a Log driving the given applier. startSeq is the sequence
 // number already reflected in the applier's published state (0 for a
-// fresh index); the first applied update gets startSeq+1. History
-// replay via Records/Subscribe is available from startSeq+1 onward,
-// and grows without bound until Truncate reclaims consumed prefixes.
+// fresh index); the first applied update gets startSeq+1.
 func New(applier Applier, startSeq uint64) *Log {
-	l := &Log{
-		applier: applier,
-		start:   startSeq,
-		seq:     startSeq,
-		base:    startSeq,
-		subs:    make(map[*Subscription]struct{}),
-	}
+	l := &Log{applier: applier, seq: startSeq}
 	l.head.Store(startSeq)
 	l.pub.Store(startSeq)
-	l.durable.Store(startSeq)
-	l.cond = sync.NewCond(&l.histMu)
 	return l
+}
+
+// SetFollower registers f as the log's one follower: from then on the
+// combining leader passes f each applied batch, in sequence order, after
+// publishing the batch's epoch and before waking its submitters. f runs on
+// the leader's goroutine, so it must not block, and it must copy what it
+// keeps: the slice is reused for the next batch. Set the follower before
+// updates flow, so that it sees every record after the current head. A
+// second call returns an error.
+func (l *Log) SetFollower(f func(applied []Record)) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.follower != nil {
+		return errors.New("updatelog: follower already set")
+	}
+	l.follower = f
+	return nil
 }
 
 // Submit funnels one mutation through the writer. For OpInsert, id is
@@ -118,11 +120,10 @@ func (l *Log) Submit(op Op, id int, loc model.Location) (int, uint64, error) {
 // l.writing), which is what makes the Applier single-writer.
 func (l *Log) lead() {
 	// batch and applied are leader-owned buffers reused across rounds.
-	// applied must NOT alias batch (e.g. batch[:0]): a rejected update
-	// followed by an applied one would overwrite batch's slots, leaving
-	// the rejected request never woken and another woken twice.
-	var batch, applied []*request
+	var batch []*request
+	var applied []Record
 	for {
+		follow := l.follower
 		batch = append(batch[:0], l.queue...)
 		l.queue = l.queue[:0]
 		l.mu.Unlock()
@@ -137,20 +138,16 @@ func (l *Log) lead() {
 			}
 			l.seq++
 			l.head.Store(l.seq)
-			applied = append(applied, req)
+			applied = append(applied, req.rec)
 		}
 		if len(applied) > 0 {
 			// Publish before waking waiters: a caller returning from
 			// Submit must observe its own update in the current epoch.
 			l.applier.PublishEpoch(l.seq)
 			l.pub.Store(l.seq)
-
-			l.histMu.Lock()
-			for _, req := range applied {
-				l.hist = append(l.hist, req.rec)
+			if follow != nil {
+				follow(applied)
 			}
-			l.histMu.Unlock()
-			l.cond.Broadcast()
 		}
 		for _, req := range batch {
 			req.done <- struct{}{}
@@ -172,84 +169,3 @@ func (l *Log) HeadSeq() uint64 { return l.head.Load() }
 // currently see. It trails HeadSeq only transiently, inside a batch
 // application; the gap is the applied-epoch lag.
 func (l *Log) PublishedSeq() uint64 { return l.pub.Load() }
-
-// Records returns a copy of the applied records with from <= Seq <= to
-// (to = 0 means "through head"). Sequence numbers below the retained
-// history — the log's start, or the last Truncate cut — are not
-// available and yield an error.
-func (l *Log) Records(from, to uint64) ([]Record, error) {
-	l.histMu.Lock()
-	defer l.histMu.Unlock()
-	if from == 0 {
-		from = l.base + 1
-	}
-	if from <= l.base {
-		return nil, fmt.Errorf("updatelog: seq %d predates retained history (starts at %d)", from, l.base+1)
-	}
-	avail := l.base + uint64(len(l.hist))
-	if to == 0 || to > avail {
-		to = avail
-	}
-	if from > to {
-		return nil, nil
-	}
-	out := make([]Record, to-from+1)
-	copy(out, l.hist[from-l.base-1:to-l.base])
-	return out, nil
-}
-
-// AdvanceDurable records that every update with Seq <= seq has been made
-// durable by a persistence layer (the WAL calls this after each successful
-// fsync) and reclaims the covered in-memory history automatically, subject
-// to Truncate's subscriber floor. The watermark is monotonic: stale calls
-// are ignored.
-func (l *Log) AdvanceDurable(seq uint64) {
-	for {
-		cur := l.durable.Load()
-		if seq <= cur {
-			return
-		}
-		if l.durable.CompareAndSwap(cur, seq) {
-			break
-		}
-	}
-	l.Truncate(seq)
-}
-
-// DurableSeq returns the durable watermark: the last sequence number a
-// persistence layer has reported as surviving a crash. It starts at the
-// construction startSeq (snapshot-restored state is durable by definition)
-// and only moves when a durability layer reports progress.
-func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
-
-// Truncate drops applied records with Seq <= upToSeq from the retained
-// history, bounding the log's memory under sustained churn. Records an
-// active subscription has not yet consumed are always kept: the
-// effective cut is min(upToSeq, oldest unconsumed seq - 1), so no
-// subscriber ever observes a gap. Truncated sequences are no longer
-// available to Records or Subscribe. Returns the last seq actually
-// dropped (0 if nothing could be dropped).
-func (l *Log) Truncate(upToSeq uint64) uint64 {
-	l.histMu.Lock()
-	defer l.histMu.Unlock()
-	cut := upToSeq
-	for s := range l.subs {
-		if s.cursor <= cut {
-			cut = s.cursor - 1
-		}
-	}
-	if avail := l.base + uint64(len(l.hist)); cut > avail {
-		cut = avail
-	}
-	if cut <= l.base {
-		return 0
-	}
-	// Copy the tail into a fresh slice so the dropped prefix's backing
-	// array becomes collectible. In-flight pump batches sliced from the
-	// old array stay valid: it is never mutated, only abandoned.
-	rest := make([]Record, uint64(len(l.hist))-(cut-l.base))
-	copy(rest, l.hist[cut-l.base:])
-	l.hist = rest
-	l.base = cut
-	return cut
-}

@@ -65,11 +65,40 @@ func loc(p int) model.Location {
 	return model.Location{Partition: model.PartitionID(p)}
 }
 
+// follower collects what the log hands its follower.
+type follower struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (fl *follower) follow(applied []Record) {
+	fl.mu.Lock()
+	fl.recs = append(fl.recs, applied...)
+	fl.mu.Unlock()
+}
+
+func (fl *follower) records() []Record {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return append([]Record(nil), fl.recs...)
+}
+
+// newFollowed returns a log over a with a collecting follower set.
+func newFollowed(t *testing.T, a Applier, startSeq uint64) (*Log, *follower) {
+	t.Helper()
+	l := New(a, startSeq)
+	fl := &follower{}
+	if err := l.SetFollower(fl.follow); err != nil {
+		t.Fatal(err)
+	}
+	return l, fl
+}
+
 // TestSubmitAssignsMonotonicSeqs drives sequential submissions and checks
-// the seq numbering, head/published tracking and history content.
+// the seq numbering, head/published tracking and what the follower gets.
 func TestSubmitAssignsMonotonicSeqs(t *testing.T) {
 	f := &fakeApplier{}
-	l := New(f, 0)
+	l, fl := newFollowed(t, f, 0)
 	for i := 1; i <= 5; i++ {
 		id, seq, err := l.Submit(OpInsert, 0, loc(i))
 		if err != nil {
@@ -85,12 +114,9 @@ func TestSubmitAssignsMonotonicSeqs(t *testing.T) {
 			t.Fatalf("after submit %d: head=%d pub=%d", i, l.HeadSeq(), l.PublishedSeq())
 		}
 	}
-	recs, err := l.Records(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := fl.records()
 	if len(recs) != 5 {
-		t.Fatalf("Records = %d entries, want 5", len(recs))
+		t.Fatalf("follower got %d records, want 5", len(recs))
 	}
 	for i, r := range recs {
 		if r.Seq != uint64(i+1) {
@@ -104,10 +130,10 @@ func TestSubmitAssignsMonotonicSeqs(t *testing.T) {
 
 // TestFailedUpdateConsumesNoSeq submits a rejected op between two applied
 // ones: the failure must surface to its submitter, consume no sequence
-// number, and leave no hole in the history.
+// number, and never reach the follower.
 func TestFailedUpdateConsumesNoSeq(t *testing.T) {
 	f := &fakeApplier{rejectID: 77}
-	l := New(f, 0)
+	l, fl := newFollowed(t, f, 0)
 	if _, seq, err := l.Submit(OpDelete, 1, model.Location{}); err != nil || seq != 1 {
 		t.Fatalf("first submit: seq=%d err=%v", seq, err)
 	}
@@ -117,9 +143,8 @@ func TestFailedUpdateConsumesNoSeq(t *testing.T) {
 	if _, seq, err := l.Submit(OpDelete, 2, model.Location{}); err != nil || seq != 2 {
 		t.Fatalf("third submit: seq=%d err=%v", seq, err)
 	}
-	recs, _ := l.Records(0, 0)
-	if len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 2 {
-		t.Fatalf("history = %+v, want ids 1,2", recs)
+	if recs := fl.records(); len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 2 {
+		t.Fatalf("follower got %+v, want ids 1,2", recs)
 	}
 }
 
@@ -232,22 +257,19 @@ func TestRejectedInCombinedBatchWakesAll(t *testing.T) {
 }
 
 // TestStartSeqOffset checks a log constructed over already-published state:
-// numbering continues from startSeq and history replay is bounded below.
+// numbering continues from startSeq, and the follower gets only the new
+// records.
 func TestStartSeqOffset(t *testing.T) {
 	f := &fakeApplier{}
-	l := New(f, 10)
+	l, fl := newFollowed(t, f, 10)
+	if l.HeadSeq() != 10 || l.PublishedSeq() != 10 {
+		t.Fatalf("fresh log over seq 10: head=%d pub=%d", l.HeadSeq(), l.PublishedSeq())
+	}
 	if _, seq, err := l.Submit(OpDelete, 1, model.Location{}); err != nil || seq != 11 {
 		t.Fatalf("submit: seq=%d err=%v, want 11", seq, err)
 	}
-	if _, err := l.Records(5, 0); err == nil {
-		t.Fatal("Records(5) before log start succeeded")
-	}
-	recs, err := l.Records(11, 0)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("Records(11) = %v, %v", recs, err)
-	}
-	if _, err := l.Subscribe(5, 1); err == nil {
-		t.Fatal("Subscribe(5) before log start succeeded")
+	if recs := fl.records(); len(recs) != 1 || recs[0].Seq != 11 {
+		t.Fatalf("follower got %+v, want the one record at seq 11", recs)
 	}
 }
 
@@ -305,264 +327,96 @@ func TestConcurrentSubmitSingleWriter(t *testing.T) {
 	}
 }
 
-// TestSubscribersExactlyOnceInOrder attaches several subscribers — one from
-// the start, one mid-stream resuming from a recorded seq, one tailing from
-// head+1 — and verifies each receives exactly the expected updates, in
-// order, exactly once, while submissions continue concurrently.
-func TestSubscribersExactlyOnceInOrder(t *testing.T) {
-	f := &fakeApplier{}
+// TestFollowerGetsEveryAppliedRecordOnce runs 8 concurrent submitters whose
+// updates the applier partly rejects. The follower must get every applied
+// record exactly once, in seq order, with no gaps and no rejected update;
+// each batch must already be published when the follower gets it, and a
+// submitter must not return before the follower has its record. A second
+// follower is refused.
+func TestFollowerGetsEveryAppliedRecordOnce(t *testing.T) {
+	f := &fakeApplier{rejectID: 77}
 	l := New(f, 0)
-
-	const phase1 = 50
-	const phase2 = 160 // divisible by the 4 submitter goroutines
-	const total = phase1 + phase2
-	for i := 0; i < phase1; i++ {
-		if _, _, err := l.Submit(OpInsert, 0, loc(i)); err != nil {
-			t.Fatal(err)
+	var (
+		mu      sync.Mutex
+		got     []Record
+		unpub   bool
+		batches int
+	)
+	err := l.SetFollower(func(applied []Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		if l.PublishedSeq() < applied[len(applied)-1].Seq {
+			unpub = true
 		}
-	}
-
-	fromStart, err := l.Subscribe(0, 4)
+		got = append(got, applied...)
+		batches++
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := l.Subscribe(phase1/2, 4)
-	if err != nil {
-		t.Fatal(err)
+	if err := l.SetFollower(func([]Record) {}); err == nil {
+		t.Fatal("a second SetFollower succeeded")
 	}
-	tail, err := l.Subscribe(l.HeadSeq()+1, 4)
-	if err != nil {
-		t.Fatal(err)
+	followed := func(seq uint64) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) > 0 && got[len(got)-1].Seq >= seq
 	}
 
-	collect := func(s *Subscription, want int) <-chan []Record {
-		out := make(chan []Record, 1)
-		go func() {
-			var got []Record
-			for r := range s.Events() {
-				got = append(got, r)
-				if len(got) == want {
-					break
-				}
-			}
-			out <- got
-		}()
-		return out
-	}
-	c1 := collect(fromStart, total)
-	c2 := collect(resumed, total-phase1/2+1)
-	c3 := collect(tail, phase2)
-
+	const goroutines = 8
+	const perG = 300
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	var rejected atomic.Int64
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < phase2/4; i++ {
-				if _, _, err := l.Submit(OpInsert, 0, loc(i)); err != nil {
+			for i := 0; i < perG; i++ {
+				if i%4 == g%4 {
+					// Moves of object 77 are always rejected.
+					if _, seq, err := l.Submit(OpMove, 77, loc(g)); !errors.Is(err, errRejected) || seq != 0 {
+						t.Errorf("rejected move: seq=%d err=%v", seq, err)
+						return
+					}
+					rejected.Add(1)
+					continue
+				}
+				_, seq, err := l.Submit(OpInsert, 0, loc(g))
+				if err != nil {
 					t.Errorf("Submit: %v", err)
+					return
+				}
+				if !followed(seq) {
+					t.Errorf("Submit of seq %d returned before the follower got it", seq)
+					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 
-	check := func(name string, got []Record, fromSeq uint64) {
-		t.Helper()
-		for i, r := range got {
-			want := fromSeq + uint64(i)
-			if r.Seq != want {
-				t.Fatalf("%s: event %d has seq %d, want %d (gap, duplicate or reorder)", name, i, r.Seq, want)
-			}
+	applied := f.applied
+	if want := goroutines*perG - int(rejected.Load()); len(applied) != want || l.HeadSeq() != uint64(want) {
+		t.Fatalf("applied %d records, head %d, want %d", len(applied), l.HeadSeq(), want)
+	}
+	if unpub {
+		t.Fatal("the follower got a batch before its epoch was published")
+	}
+	if len(got) != len(applied) {
+		t.Fatalf("follower got %d records, want %d", len(got), len(applied))
+	}
+	for i, r := range got {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("follower record %d has seq %d: gap, duplicate or reorder", i, r.Seq)
+		}
+		if r != applied[i] {
+			t.Fatalf("follower record %d = %+v, applied %+v", i, r, applied[i])
+		}
+		if r.Op != OpInsert {
+			t.Fatalf("follower got a rejected update: %+v", r)
 		}
 	}
-	deadline := time.After(10 * time.Second)
-	wait := func(name string, c <-chan []Record) []Record {
-		select {
-		case got := <-c:
-			return got
-		case <-deadline:
-			t.Fatalf("%s: timed out waiting for events", name)
-			return nil
-		}
-	}
-	check("fromStart", wait("fromStart", c1), 1)
-	check("resumed", wait("resumed", c2), phase1/2)
-	check("tail", wait("tail", c3), phase1+1)
-
-	fromStart.Close()
-	resumed.Close()
-	tail.Close()
-}
-
-// TestSubscriptionCloseEndsStream verifies Close terminates the Events
-// channel (and is idempotent).
-func TestSubscriptionCloseEndsStream(t *testing.T) {
-	l := New(&fakeApplier{}, 0)
-	s, err := l.Subscribe(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close()
-	select {
-	case _, ok := <-s.Events():
-		if ok {
-			t.Fatal("received an event on a closed subscription")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Events channel not closed after Close")
-	}
-}
-
-// TestSlowSubscriberBackpressure pins the backpressure contract: a
-// subscriber that stops draining blocks only its own delivery (events queue
-// in the log's history), the writer keeps applying updates at full speed,
-// and once the subscriber resumes it receives the whole backlog in order
-// with nothing dropped.
-func TestSlowSubscriberBackpressure(t *testing.T) {
-	f := &fakeApplier{}
-	l := New(f, 0)
-	s, err := l.Subscribe(0, 1) // minimal buffer: stalls after one event
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// With the subscriber not draining, the writer must still complete
-	// many updates — bounded time, no deadlock.
-	const total = 500
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < total; i++ {
-			if _, _, err := l.Submit(OpInsert, 0, loc(i)); err != nil {
-				t.Errorf("Submit: %v", err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer blocked behind a slow subscriber")
-	}
-	if l.HeadSeq() != total {
-		t.Fatalf("head = %d, want %d", l.HeadSeq(), total)
-	}
-
-	// The stalled subscriber resumes and drains the full backlog in order.
-	for i := 0; i < total; i++ {
-		select {
-		case r := <-s.Events():
-			if r.Seq != uint64(i+1) {
-				t.Fatalf("resumed event %d has seq %d", i, r.Seq)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("backlog drain stalled at event %d", i)
-		}
-	}
-}
-
-// TestTruncateBoundsHistory drops a consumed prefix and verifies the
-// retained window: dropped seqs are unavailable to Records and
-// Subscribe, later seqs replay as before, and sequence numbering is
-// unaffected.
-func TestTruncateBoundsHistory(t *testing.T) {
-	l := New(&fakeApplier{}, 0)
-	for i := 0; i < 10; i++ {
-		if _, _, err := l.Submit(OpInsert, 0, loc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := l.Truncate(5); got != 5 {
-		t.Fatalf("Truncate(5) = %d, want 5", got)
-	}
-	if got := l.Truncate(3); got != 0 {
-		t.Fatalf("Truncate(3) behind the cut at 5 = %d, want 0", got)
-	}
-	recs, err := l.Records(0, 0)
-	if err != nil || len(recs) != 5 || recs[0].Seq != 6 {
-		t.Fatalf("Records after truncate = %v, %v; want seqs 6..10", recs, err)
-	}
-	if _, err := l.Records(3, 0); err == nil {
-		t.Fatal("Records(3) into the truncated range succeeded")
-	}
-	if _, err := l.Subscribe(5, 1); err == nil {
-		t.Fatal("Subscribe(5) into the truncated range succeeded")
-	}
-	s, err := l.Subscribe(0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for want := uint64(6); want <= 10; want++ {
-		select {
-		case r := <-s.Events():
-			if r.Seq != want {
-				t.Fatalf("event seq = %d, want %d", r.Seq, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for seq %d", want)
-		}
-	}
-	if _, seq, err := l.Submit(OpInsert, 0, loc(0)); err != nil || seq != 11 {
-		t.Fatalf("post-truncate submit: seq=%d err=%v, want seq=11", seq, err)
-	}
-}
-
-// TestTruncateRetainsUnconsumed pins the subscriber-safety floor:
-// history an active subscription has not yet consumed survives
-// Truncate, so a stalled subscriber still receives everything in order;
-// once it closes, the same Truncate reclaims the lot.
-func TestTruncateRetainsUnconsumed(t *testing.T) {
-	l := New(&fakeApplier{}, 0)
-	s, err := l.Subscribe(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 5
-	for i := 0; i < total; i++ {
-		if _, _, err := l.Submit(OpInsert, 0, loc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Nothing drained yet: the pump has consumed at most what fits in
-	// its buffer, so the cut must stop below total.
-	if got := l.Truncate(total); got >= total {
-		t.Fatalf("Truncate(%d) with a stalled subscriber = %d", total, got)
-	}
-	for want := uint64(1); want <= total; want++ {
-		select {
-		case r := <-s.Events():
-			if r.Seq != want {
-				t.Fatalf("event seq = %d, want %d (truncated under an active subscriber)", r.Seq, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for seq %d", want)
-		}
-	}
-	s.Close()
-	if got := l.Truncate(total); got != total {
-		t.Fatalf("Truncate(%d) after Close = %d, want %d", total, got, total)
-	}
-	if recs, err := l.Records(0, 0); err != nil || len(recs) != 0 {
-		t.Fatalf("Records after full truncation = %v, %v; want empty", recs, err)
-	}
-}
-
-// TestSubscribeBeyondHeadRejected: subscribing past head+1 would create a
-// gap the subscriber can never fill, so it must be rejected.
-func TestSubscribeBeyondHeadRejected(t *testing.T) {
-	l := New(&fakeApplier{}, 0)
-	if _, err := l.Subscribe(2, 1); err == nil {
-		t.Fatal("Subscribe beyond head+1 succeeded")
-	}
-	if s, err := l.Subscribe(1, 1); err != nil {
-		t.Fatalf("Subscribe at head+1: %v", err)
-	} else {
-		s.Close()
-	}
+	t.Logf("%d records in %d follower batches", len(got), batches)
 }
 
 // TestRecordCodecRoundTrip round-trips randomized records through the

@@ -1,10 +1,10 @@
 // Package wal provides a durable, segmented write-ahead log for the object
 // update stream (viptree/internal/updatelog). The in-memory update log gives
-// ordered, gap-free sequence numbers and an exactly-once change feed; this
-// package tails that feed and appends every applied record to disk in
-// CRC-framed segments, so that a crashed process can reconstruct its exact
-// pre-crash object state by restoring a snapshot and replaying the log
-// suffix [snapshotSeq+1, head].
+// ordered, gap-free sequence numbers and passes each applied batch to its
+// one follower; the WAL is that follower. It queues every applied record
+// and appends it to disk in CRC-framed segments from its own goroutine, so
+// that a crashed process can reconstruct its exact pre-crash object state
+// by restoring a snapshot and replaying the log suffix [snapshotSeq+1, head].
 //
 // # Durability contract
 //
@@ -68,8 +68,8 @@ const (
 	syncOnRotate
 )
 
-// SyncAlways fsyncs after every append batch: an update is durable by the
-// time the WAL has consumed it from the change feed. Safest, slowest.
+// SyncAlways fsyncs after every append batch: an update is durable as soon
+// as the appender has written the batch that holds it. Safest, slowest.
 func SyncAlways() SyncPolicy { return SyncPolicy{mode: syncAlways} }
 
 // SyncInterval fsyncs at a fixed cadence: a crash loses at most the last
@@ -192,8 +192,9 @@ type Health struct {
 // (recovering whatever segments survive there), replay the recovered
 // records into the index, then Follow the index's update log to persist
 // every further applied update. One goroutine (started by Follow) performs
-// all file I/O; the exported methods only read watermarks and never touch
-// the disk, so they are safe from any goroutine.
+// all file I/O; the update log's leader only queues records, and the
+// exported methods only read watermarks and never touch the disk, so they
+// are safe from any goroutine.
 type WAL struct {
 	opts Options
 	fs   FS
@@ -214,9 +215,17 @@ type WAL struct {
 	hasActive     bool
 	closed        bool
 
+	// pending holds the records the update log has applied and the
+	// appender has not yet taken. It has its own mutex, never w.mu: the
+	// log's leader fills it and must not wait behind Checkpoint's file
+	// removals.
+	pendMu  sync.Mutex
+	pending []updatelog.Record
+	wake    chan struct{} // signal: pending is not empty
+
 	// Appender-goroutine-only state (no locking needed).
 	log        *updatelog.Log
-	sub        *updatelog.Subscription
+	spare      []updatelog.Record // the buffer pending gets at the next swap
 	activeFile File
 	badWrite   bool // last write may have landed partially; truncate before retrying
 	forceSync  bool // flush in progress: sync after every batch regardless of policy
@@ -250,6 +259,7 @@ func Open(opts Options) (*WAL, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		flushReq: make(chan struct{}, 1),
+		wake:     make(chan struct{}, 1),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	if n := len(segs); n > 0 {
@@ -271,13 +281,13 @@ func (w *WAL) Recovery() *Recovery { return w.rec }
 // Dir returns the segment directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Follow attaches the WAL to the update log and starts the appender: every
-// record the log applies from now on is appended and fsynced per the sync
-// policy. The log's head must match the recovered head — replay the
-// recovered records first. When the log's head is ahead of the WAL (the
-// index was restored from a snapshot newer than the log's tail), the
-// now-redundant segments are dropped and the WAL restarts at the snapshot
-// sequence.
+// Follow makes the WAL the update log's follower and starts the appender:
+// every record the log applies from now on is appended and fsynced per the
+// sync policy. The log's head must match the recovered head — replay the
+// recovered records first — and no update may flow while Follow runs. When
+// the log's head is ahead of the WAL (the index was restored from a
+// snapshot newer than the log's tail), the now-redundant segments are
+// dropped and the WAL restarts at the snapshot sequence.
 func (w *WAL) Follow(log *updatelog.Log) error {
 	w.mu.Lock()
 	if w.closed {
@@ -313,21 +323,42 @@ func (w *WAL) Follow(log *updatelog.Log) error {
 		w.sealed, w.active, w.hasActive = nil, segInfo{}, false
 		w.appended, w.durable = logHead, logHead
 	}
-	sub, err := log.Subscribe(w.appended+1, 1024)
-	if err != nil {
+	if err := log.SetFollower(w.follow); err != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("wal: subscribing at seq %d: %w", w.appended+1, err)
+		return fmt.Errorf("wal: following the update log: %w", err)
 	}
 	w.log = log
-	w.sub = sub
 	w.mu.Unlock()
 	go w.run()
 	return nil
 }
 
-// run is the appender loop: drain the change feed in batches, append,
-// fsync per policy, advance the durable watermark. All file I/O happens
-// here.
+// follow is the update log's follower: it queues an applied batch for the
+// appender and wakes it. It runs on the log's leader, so it takes only
+// pendMu and never blocks on the appender.
+func (w *WAL) follow(applied []updatelog.Record) {
+	w.pendMu.Lock()
+	w.pending = append(w.pending, applied...)
+	w.pendMu.Unlock()
+	select {
+	case w.wake <- struct{}{}:
+	default: // a wake-up is already pending; the appender takes it all
+	}
+}
+
+// takePending swaps the queued records out for the spare buffer, so the
+// leader keeps appending while the appender writes.
+func (w *WAL) takePending() []updatelog.Record {
+	w.pendMu.Lock()
+	batch := w.pending
+	w.pending = w.spare[:0]
+	w.pendMu.Unlock()
+	w.spare = batch
+	return batch
+}
+
+// run is the appender loop: take the queued records, append them, fsync
+// per policy, advance the durable watermark. All file I/O happens here.
 func (w *WAL) run() {
 	defer close(w.done)
 	var tickC <-chan time.Time
@@ -336,17 +367,10 @@ func (w *WAL) run() {
 		defer tick.Stop()
 		tickC = tick.C
 	}
-	events := w.sub.Events()
-	batch := make([]updatelog.Record, 0, 256)
 	for {
 		select {
-		case r, ok := <-events:
-			if !ok {
-				w.finish()
-				return
-			}
-			batch = w.drainInto(batch[:0], r, events)
-			if !w.writeDurably(batch) {
+		case <-w.wake:
+			if !w.writeDurably(w.takePending()) {
 				w.finish()
 				return
 			}
@@ -356,7 +380,7 @@ func (w *WAL) run() {
 				return
 			}
 		case <-w.flushReq:
-			if !w.flushTo(w.flushTarget(), events) {
+			if !w.flushTo(w.flushTarget()) {
 				w.finish()
 				return
 			}
@@ -367,40 +391,17 @@ func (w *WAL) run() {
 	}
 }
 
-// drainInto gathers immediately available records behind the first one, so
-// a burst of updates costs one write (and per SyncAlways one fsync) instead
-// of one each.
-func (w *WAL) drainInto(batch []updatelog.Record, first updatelog.Record, events <-chan updatelog.Record) []updatelog.Record {
-	batch = append(batch, first)
-	for len(batch) < cap(batch) {
-		select {
-		case r, ok := <-events:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// flushTo consumes the feed until target is appended, then syncs — the
-// Close/Flush path, which must not wait for a sync-policy tick. Returns
-// false when stopped.
-func (w *WAL) flushTo(target uint64, events <-chan updatelog.Record) bool {
+// flushTo appends queued records until target is appended, then syncs —
+// the Close/Flush path, which must not wait for a sync-policy tick. The
+// leader may not have queued the last records yet when target is read, so
+// it waits for their wake-up. Returns false when stopped.
+func (w *WAL) flushTo(target uint64) bool {
 	w.forceSync = true
 	defer func() { w.forceSync = false }()
-	batch := make([]updatelog.Record, 0, 256)
 	for w.appendedSeq() < target {
 		select {
-		case r, ok := <-events:
-			if !ok {
-				return w.syncDurably()
-			}
-			batch = w.drainInto(batch[:0], r, events)
-			if !w.writeDurably(batch) {
+		case <-w.wake:
+			if !w.writeDurably(w.takePending()) {
 				return false
 			}
 		case <-w.stop:
@@ -426,9 +427,12 @@ func (w *WAL) finish() {
 // writeDurably appends the batch, retrying with exponential backoff and —
 // after MaxRetries — degrading to read-only while it keeps probing at
 // ProbeInterval. It returns only once the batch is written (true) or the
-// WAL is stopped (false), so the feed is consumed strictly in order and
-// no applied record is ever skipped.
+// WAL is stopped (false), so the queued records are written strictly in
+// order and no applied record is ever skipped.
 func (w *WAL) writeDurably(batch []updatelog.Record) bool {
+	if len(batch) == 0 {
+		return true // a wake-up whose records an earlier swap took
+	}
 	failures := 0
 	backoff := w.opts.RetryBackoff
 	for {
@@ -586,9 +590,8 @@ func (w *WAL) noteAppended(seq uint64, bytes int64, records int) {
 	w.mu.Unlock()
 }
 
-// noteDurable advances the durable watermark (after a successful fsync),
-// wakes WaitDurable callers and reports durability back to the update log,
-// which reclaims the covered in-memory history automatically.
+// noteDurable advances the durable watermark (after a successful fsync)
+// and wakes WaitDurable callers.
 func (w *WAL) noteDurable(seq uint64) {
 	w.mu.Lock()
 	if seq > w.durable {
@@ -596,9 +599,6 @@ func (w *WAL) noteDurable(seq uint64) {
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	if w.log != nil {
-		w.log.AdvanceDurable(seq)
-	}
 }
 
 // noteHealthy clears degraded state after a successful attempt.
@@ -768,7 +768,6 @@ func (w *WAL) Close() error {
 		w.mu.Unlock()
 		close(w.stop)
 		<-w.done
-		w.sub.Close()
 	}
 	w.mu.Lock()
 	w.state = StateClosed

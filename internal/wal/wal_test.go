@@ -261,34 +261,6 @@ func TestCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDurableWatermarkTruncatesHistory checks the automatic
-// Log.AdvanceDurable wiring: once the WAL fsyncs records, the update log's
-// in-memory history is reclaimed without any manual Truncate call.
-func TestDurableWatermarkTruncatesHistory(t *testing.T) {
-	fs := NewFaultFS()
-	app := &recApplier{}
-	log := updatelog.New(app, 0)
-	w := openWAL(t, fs, Options{Sync: SyncAlways()})
-	if err := w.Follow(log); err != nil {
-		t.Fatalf("Follow: %v", err)
-	}
-	submitMixed(t, log, 50)
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if got := log.DurableSeq(); got != log.HeadSeq() {
-		t.Fatalf("log durable watermark %d, want %d", got, log.HeadSeq())
-	}
-	// The WAL's own subscription has consumed everything it flushed, so
-	// the durability hook may reclaim the full history: seq 1 must no
-	// longer be retained.
-	waitUntil(t, time.Second, "history reclaim", func() bool {
-		_, err := log.Records(1, 1)
-		return err != nil
-	})
-	w.Close()
-}
-
 func TestTornTailTruncated(t *testing.T) {
 	fs := NewFaultFS()
 	app := &recApplier{}

@@ -19,7 +19,7 @@
 set -euo pipefail
 
 readonly PAIRS=10
-readonly ROWS='^(BenchmarkDistance|BenchmarkPath|BenchmarkBatchedDistance|BenchmarkExecuteBatch|BenchmarkTreeBuild|BenchmarkKNN|BenchmarkRange)$'
+readonly ROWS='^(BenchmarkDistance|BenchmarkPath|BenchmarkBatchedDistance|BenchmarkExecuteBatch|BenchmarkTreeBuild|BenchmarkKNN|BenchmarkRange|BenchmarkObjectUpdate)$'
 
 if [ $# -ne 1 ]; then
 	echo "usage: scripts/benchpair.sh BASE_REF" >&2

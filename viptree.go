@@ -63,11 +63,9 @@
 // atomic pointer load, so the read path performs no lock operations at
 // all and each result reflects exactly a prefix of the update log — a
 // cross-leaf Move is atomic from a reader's view. Every applied update
-// carries a monotonic gap-free sequence number, and external systems can
-// tail the ordered change feed:
-//
-//	sub, _ := objIndex.ChangeLog().Subscribe(0, 256)
-//	for rec := range sub.Events() { ... } // every update, in order
+// carries a monotonic gap-free sequence number. The log keeps no history:
+// updates reach disk through the write-ahead log (OpenEngine), which the
+// log hands each applied batch in sequence order.
 //
 // See the examples directory for complete programs.
 package viptree
@@ -155,21 +153,19 @@ type (
 	MutableObjectIndexer = index.MutableObjectIndexer
 	// ChangeLogger is the capability interface of mutable object indexes
 	// whose updates flow through a single-writer update log with
-	// lock-free epoch reads and an exportable change feed; the
+	// lock-free epoch reads, which a write-ahead log can follow; the
 	// IP-Tree and VIP-Tree object indexes implement it.
 	ChangeLogger = index.ChangeLogger
 	// UpdateLog is the single-writer combining log behind a mutable
 	// object index: it assigns monotonic gap-free sequence numbers,
-	// publishes immutable epochs and serves the ordered change feed.
+	// publishes immutable epochs and hands each applied batch to its one
+	// follower, the write-ahead log of a durable engine.
 	UpdateLog = updatelog.Log
 	// UpdateRecord is one applied update in the log: sequence number,
 	// operation and the object it touched.
 	UpdateRecord = updatelog.Record
 	// UpdateOp is the operation kind of an UpdateRecord.
 	UpdateOp = updatelog.Op
-	// ChangeSubscription is a live subscription to the change feed,
-	// delivering every applied update exactly once, in order.
-	ChangeSubscription = updatelog.Subscription
 	// DistanceQuerier is the query interface shared by all indexes.
 	DistanceQuerier = index.DistanceQuerier
 	// ObjectQuerier is the object-query interface shared by all indexes.
@@ -243,7 +239,7 @@ const (
 	QueryMove     = engine.KindMove
 )
 
-// Operation kinds of an UpdateRecord in the change feed.
+// Operation kinds of an UpdateRecord.
 const (
 	UpdateInsert = updatelog.OpInsert
 	UpdateDelete = updatelog.OpDelete
@@ -491,9 +487,9 @@ var ErrWALCorrupt = wal.ErrCorrupt
 
 // OpenEngine is NewEngine plus durability: it recovers the write-ahead log
 // under opts.WALDir (replaying whatever the restored object index does not
-// already cover), attaches the log to the index's change feed, and returns
-// the recovery report alongside the engine. Close the engine to flush and
-// release the log.
+// already cover), makes the log the follower of the index's update log,
+// and returns the recovery report alongside the engine. Close the engine to
+// flush and release the log.
 //
 //	eng, rep, err := viptree.OpenEngine(tree, viptree.EngineOptions{
 //		Objects: tree.IndexObjects(objects),
