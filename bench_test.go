@@ -273,10 +273,10 @@ func batchedBenchWorkloads(v *viptree.Venue, tree *viptree.IPTree) []struct {
 // BenchmarkBatchedDistance measures the index-level batched distance path
 // (DistanceBatch) against the per-pair Distance loop on both trees, for
 // clustered-source and uniform workloads. One op is one full batch; the qps
-// metric is pairs answered per second. On the clustered workload the batch
-// rows must beat the loop rows — the batch climbs once per distinct
-// endpoint instead of once per pair — and allocs/op must stay flat (the
-// batch scratch is pooled).
+// metric is pairs answered per second. DistanceBatch runs each pair's own
+// Distance over the worker pool, so the batch rows differ from the loop
+// rows by the fan-out alone, and allocs/op stays flat (the pool's
+// goroutines; each Distance is allocation-free).
 func BenchmarkBatchedDistance(b *testing.B) {
 	idx := benchIndexes("Men")
 	v := benchVenue("Men")
@@ -315,21 +315,26 @@ func BenchmarkBatchedDistance(b *testing.B) {
 }
 
 // BenchmarkExecuteBatch measures end-to-end engine batch throughput on
-// clustered-source and uniform distance batches, at the default worker
-// count. One op is one full ExecuteBatch; the qps metric is queries answered
-// per second. The engine has one batch executor, so there is no unbatched
-// engine row: the loop rows of BenchmarkBatchedDistance are the per-query
-// baseline over the same pairs.
+// distance batches, at the default worker count. One op is one full
+// ExecuteBatch; the qps metric is queries answered per second. The
+// clustered and uniform rows are the cross-leaf batches of
+// BenchmarkBatchedDistance, whose loop rows are their per-query baseline
+// (the engine has one batch executor, so there is no unbatched engine row).
+// The Men-full row has the shape of one servebench coalesced request: 256
+// uniform pairs on the full-scale Menzies venue, 18 of them (7 %) with both
+// ends in one leaf. Each of those runs a D2D search that costs as much as
+// hundreds of cross-leaf pairs, so the row shows how evenly the workers
+// share them.
 func BenchmarkExecuteBatch(b *testing.B) {
 	idx := benchIndexes("Men")
 	v := benchVenue("Men")
 	eng := viptree.NewEngine(idx.vip, viptree.EngineOptions{})
-	for _, w := range batchedBenchWorkloads(v, idx.ip) {
-		queries := make([]viptree.Query, len(w.pairs))
-		for i, p := range w.pairs {
+	run := func(name string, eng *viptree.Engine, pairs []viptree.LocationPair) {
+		queries := make([]viptree.Query, len(pairs))
+		for i, p := range pairs {
 			queries[i] = viptree.Query{Kind: viptree.QueryDistance, S: p.S, T: p.T}
 		}
-		b.Run(w.name, func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng.ExecuteBatch(queries)
@@ -337,6 +342,15 @@ func BenchmarkExecuteBatch(b *testing.B) {
 			b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "qps")
 		})
 	}
+	for _, w := range batchedBenchWorkloads(v, idx.ip) {
+		run(w.name, eng, w.pairs)
+	}
+	full := menFullTree()
+	var coalesced []viptree.LocationPair
+	for _, p := range bench.Pairs(toModelVenue(full.Venue()), 256, 39) {
+		coalesced = append(coalesced, viptree.LocationPair{S: p.S, T: p.T})
+	}
+	run("Men-full", viptree.NewEngine(full, viptree.EngineOptions{}), coalesced)
 }
 
 // Full-scale Menzies VIP-Tree shared by the object-query benchmarks: built
@@ -592,7 +606,8 @@ func BenchmarkObjectUpdate(b *testing.B) {
 	b.Run("Men-full/move", func(b *testing.B) {
 		oi := tree.IndexObjects(objs)
 		// Warm up: let the per-leaf backing arrays reach steady-state
-		// capacity so the measurement reflects the allocation-free path.
+		// capacity, so the timed moves allocate only the copy-on-write
+		// clones of the touched leaves and the published epoch.
 		for i := 0; i < 512; i++ {
 			if err := oi.Move(i%len(objs), locs[(i*7)%len(locs)]); err != nil {
 				b.Fatal(err)

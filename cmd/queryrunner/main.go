@@ -44,10 +44,9 @@
 //
 // With -batch N the workload is submitted in batches of N queries, which is
 // how a real serving frontend hands work to the engine: each batch flows
-// through the batched query planner (shared-climb execution over grouped
-// leaf pairs for distance, shared source climbs and the climb cache for
-// kNN/range), and the report adds the per-batch latency next to the
-// per-query quantiles.
+// through the batched query planner (a per-pair fan-out over the workers
+// for distance, shared source climbs and the climb cache for kNN/range), and
+// the report adds the per-batch latency next to the per-query quantiles.
 //
 // With -workload zipf the query points are Zipf-skewed over per-partition
 // hot spots instead of uniform: a few hot sources dominate, so batched

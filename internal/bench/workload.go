@@ -29,9 +29,7 @@ func Pairs(v *model.Venue, n int, seed int64) []QueryPair {
 
 // ClusteredPairs generates n pairs whose sources are drawn round-robin from
 // k distinct locations and whose targets are uniform — the clustered-source
-// workload (k fleet dispatchers, many destinations) that the batched
-// distance path amortises: every batch group climbs once per distinct
-// source instead of once per query.
+// workload (k fleet dispatchers, many destinations).
 func ClusteredPairs(v *model.Venue, n, k int, seed int64) []QueryPair {
 	rng := rand.New(rand.NewSource(seed))
 	if k < 1 {

@@ -14,7 +14,7 @@ import (
 // stops consuming index time) and panic isolation (a query that trips a bug
 // in the index becomes that query's error result instead of killing the
 // process). Both are threaded through the batched query planner via execCtx,
-// so planned execution keeps its shared-climb performance under a deadline.
+// so planned execution keeps its batched segments under a deadline.
 
 // ErrCanceled reports a query that was not executed because its batch's
 // context was canceled before the engine reached it. The Result.Err of such

@@ -42,7 +42,7 @@ func (stubIndex) MemoryBytes() int64 { return 0 }
 func (stubIndex) Stats() index.Stats { return index.Stats{Name: "stub"} }
 
 // panicBatchIndex is a stubIndex whose batched distance entry point always
-// panics — the stand-in for a bug in the shared-climb batch path.
+// panics — the stand-in for a bug in an index's batch path.
 type panicBatchIndex struct{ stubIndex }
 
 func (panicBatchIndex) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {

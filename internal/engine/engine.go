@@ -357,10 +357,11 @@ func (e *Engine) execute(q Query) Result {
 // fanning the work out over the engine's worker pool. The batch executes as
 // maximal runs of reads and of object updates, in batch order, so every read
 // sees exactly the updates that precede it in the batch. Within a read run,
-// the queries a batch-capable index can share work on
+// the queries a batch-capable index answers in one call
 // (index.DistanceBatcher for distance queries, index.KNNBatcher/RangeBatcher
-// for object queries) go through the batched query planner (planner.go),
-// which shares climbs between them; results are identical to per-query
+// for object queries) go through the batched query planner (planner.go):
+// a distance segment fans its pairs over the index's workers, and kNN/range
+// segments share source climbs; results are identical to per-query
 // Execute. It is safe to call from multiple goroutines at once; each call
 // uses its own pool.
 //

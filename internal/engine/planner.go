@@ -17,8 +17,8 @@ import (
 //
 // Inside a read run, each kind with at least two queries and a batched index
 // entry point is answered as one segment: index.DistanceBatcher for distance
-// queries (the IP-Tree and VIP-Tree, which share leaf-to-LCA climbs across a
-// batch) and index.KNNBatcher/RangeBatcher for object queries (which share
+// queries (the IP-Tree and VIP-Tree fan each pair's own Distance over the
+// workers) and index.KNNBatcher/RangeBatcher for object queries (which share
 // the Algorithm-2 source climbs and the climb cache). The remaining reads fan
 // over the pool through Execute. The batch calls are bit-identical to their
 // per-query counterparts, so how a batch is split never changes an answer.

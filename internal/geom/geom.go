@@ -79,17 +79,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Intersects reports whether r and s overlap on the same floor. Rectangles
-// that merely touch along an edge are considered intersecting, which is the
-// relationship between a room and the hallway it opens onto.
-func (r Rect) Intersects(s Rect) bool {
-	if r.Floor != s.Floor {
-		return false
-	}
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX &&
-		r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
 // Translate returns a copy of r shifted by (dx, dy) and df floors.
 func (r Rect) Translate(dx, dy float64, df int) Rect {
 	return Rect{

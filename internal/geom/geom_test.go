@@ -109,33 +109,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(0, 0, 10, 10, 0)
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlapping", NewRect(5, 5, 15, 15, 0), true},
-		{"touching edge", NewRect(10, 0, 20, 10, 0), true},
-		{"touching corner", NewRect(10, 10, 20, 20, 0), true},
-		{"disjoint", NewRect(11, 11, 20, 20, 0), false},
-		{"contained", NewRect(2, 2, 3, 3, 0), true},
-		{"different floor", NewRect(5, 5, 15, 15, 1), false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			// Intersection is symmetric.
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("reverse Intersects = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestRectTranslate(t *testing.T) {
 	r := NewRect(0, 0, 4, 3, 1)
 	got := r.Translate(10, -2, 3)

@@ -47,7 +47,7 @@ var _ index.MutableObjectIndexer = (*iptree.ObjectIndex)(nil)
 var _ index.ChangeLogger = (*iptree.ObjectIndex)(nil)
 
 // Compile-time assertions for the batched-distance capability: the two tree
-// indexes share climbs across a batch; the baselines answer per query.
+// indexes fan a batch over their workers; the baselines answer per query.
 var (
 	_ index.DistanceBatcher = (*iptree.Tree)(nil)
 	_ index.DistanceBatcher = (*iptree.VIPTree)(nil)

@@ -95,9 +95,8 @@ type LocationPair struct {
 }
 
 // DistanceBatcher is an Index that can answer many shortest-distance
-// queries as one batch, amortising work shared between queries (for the
-// tree indexes: the leaf-to-LCA climbs of queries whose endpoints share
-// leaves). The IP-Tree and VIP-Tree implement the capability;
+// queries in one call over its own worker pool. The IP-Tree and VIP-Tree
+// implement the capability by running each pair's Distance on the pool;
 // conformance_test.go pins down the set.
 type DistanceBatcher interface {
 	Index

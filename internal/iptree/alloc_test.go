@@ -247,3 +247,45 @@ func TestRangeAllocsResultSliceOnly(t *testing.T) {
 		t.Errorf("warm Range allocates %.1f allocs/op, want <= 1 (the result slice)", allocs)
 	}
 }
+
+// TestSameLeafMoveAllocs pins the allocation count of a warm sequential Move
+// that stays inside one leaf (Menzies full, 250 objects): the copy-on-write
+// clone of the touched leaf (its struct, ID and location lists, list
+// headers and one access list per access door: 4 + |AD|) and the published
+// epoch with its leafData spine (2). The update log's round buffers are
+// reused across calls, so the log adds nothing. Under the race detector
+// sync.Pool drops a quarter of its items, so a recycled request is
+// reallocated (2 allocs) about every fourth Move; AllocsPerRun's integer
+// average absorbs that half allocation.
+func TestSameLeafMoveAllocs(t *testing.T) {
+	v := venuegen.Menzies(venuegen.ScaleFull)
+	vt := MustBuildVIPTree(v, Options{})
+	objs := randomObjects(v, 250, 5)
+	oi := vt.IndexObjects(objs)
+	leaf := vt.Leaf(objs[0].Partition)
+	rng := rand.New(rand.NewSource(6))
+	var locs []model.Location
+	for len(locs) < 64 {
+		if l := v.RandomLocation(rng); vt.Leaf(l.Partition) == leaf {
+			locs = append(locs, l)
+		}
+	}
+	i := 0
+	move := func() {
+		if err := oi.Move(0, locs[i%len(locs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Let the leaf lists reach their steady-state capacity first.
+	for range 256 {
+		move()
+	}
+	ads := len(vt.nodes[leaf].AccessDoors)
+	budget := float64(6 + ads)
+	allocs := testing.AllocsPerRun(1000, move)
+	if allocs > budget {
+		t.Errorf("warm same-leaf Move allocates %.0f allocs/op, want <= %.0f (6 + %d access doors)", allocs, budget, ads)
+	}
+	t.Logf("warm same-leaf Move: %.0f allocs/op in a leaf with %d access doors", allocs, ads)
+}

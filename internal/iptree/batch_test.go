@@ -11,9 +11,8 @@ import (
 	"viptree/internal/venuegen"
 )
 
-// batchWorkload draws a mixed batch exercising every classification of the
-// planner: clustered sources (shared climbs), uniform pairs, same-partition
-// pairs and duplicated pairs.
+// batchWorkload draws a mixed batch: clustered sources, uniform pairs,
+// same-partition pairs and duplicated pairs.
 func batchWorkload(v *model.Venue, n int, seed int64) []index.LocationPair {
 	rng := rand.New(rand.NewSource(seed))
 	clusters := make([]model.Location, 1+rng.Intn(4))
@@ -104,8 +103,8 @@ func TestDistanceBatchCampus(t *testing.T) {
 	checkBatchMatches(t, vt, pairs)
 }
 
-// TestDistanceBatchClustered exercises the shared-climb fast path directly:
-// few distinct sources, many targets.
+// TestDistanceBatchClustered pins the property on a clustered batch: few
+// distinct sources, many targets, so many pairs share a source leaf.
 func TestDistanceBatchClustered(t *testing.T) {
 	v := venuegen.Menzies(venuegen.ScaleSmall)
 	tree := MustBuildIPTree(v, Options{})

@@ -13,10 +13,9 @@ import (
 // of Algorithm 5; the climb depends only on the query's source location, so
 // a batch shares it:
 //
-//  1. Plan: dedup the batch's source locations with the locSet the batched
-//     distance path uses (batch.go), and group the queries by distinct
-//     source — queries from one source (and therefore one source leaf) run
-//     back to back.
+//  1. Plan: dedup the batch's source locations with a locSet, and group the
+//     queries by distinct source — queries from one source (and therefore
+//     one source leaf) run back to back.
 //  2. Climb: for every distinct source, produce its climb block — the
 //     distances from the source to the access doors of every ancestor of
 //     its leaf, chain-ordered leaf→root — either from the tree's climb
@@ -75,10 +74,59 @@ type objBatchState struct {
 	arena    []float64
 }
 
+// locSet assigns dense ordinals to the distinct source locations of a
+// batch, in first-appearance order. Equal locations share a partition, so
+// each partition chains its distinct locations (head[p] -> next[e] -> ...);
+// the stamps validate head entries per batch, which makes the reset O(1)
+// instead of O(partitions).
+type locSet struct {
+	locs  []model.Location
+	head  []int32
+	next  []int32
+	stamp epochStamps
+}
+
+func (s *locSet) reset(numPartitions int) {
+	s.locs = s.locs[:0]
+	s.next = s.next[:0]
+	if len(s.head) < numPartitions {
+		s.head = make([]int32, numPartitions)
+	}
+	s.stamp.reset(numPartitions)
+}
+
+// add returns the ordinal of loc, registering it on first sight.
+func (s *locSet) add(loc model.Location) int32 {
+	p := int(loc.Partition)
+	if s.stamp.has(p) {
+		for e := s.head[p]; e >= 0; e = s.next[e] {
+			if s.locs[e] == loc {
+				return e
+			}
+		}
+	} else {
+		s.stamp.mark(p)
+		s.head[p] = -1
+	}
+	e := int32(len(s.locs))
+	s.locs = append(s.locs, loc)
+	s.next = append(s.next, s.head[p])
+	s.head[p] = e
+	return e
+}
+
 // growI32 returns buf resized to n entries, reallocating only on growth.
 func growI32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// resizeF64 returns buf resized to n, reallocating only on growth.
+func resizeF64(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
 	return buf[:n]
 }
@@ -195,8 +243,7 @@ func (oi *ObjectIndex) objectBatch(n, workers int, locOf func(int) model.Locatio
 	// Plan: dedup sources and group query indices by distinct source.
 	bs.srcOf = bs.srcOf[:0]
 	for i := 0; i < n; i++ {
-		e, _ := bs.src.add(locOf(i))
-		bs.srcOf = append(bs.srcOf, e)
+		bs.srcOf = append(bs.srcOf, bs.src.add(locOf(i)))
 	}
 	nSrc := len(bs.src.locs)
 	bs.leafOf = append(bs.leafOf[:0], make([]NodeID, nSrc)...)

@@ -2,6 +2,7 @@ package iptree
 
 import (
 	"viptree/internal/graph"
+	"viptree/internal/index"
 	"viptree/internal/model"
 )
 
@@ -67,10 +68,6 @@ func (t *Tree) seedLeafDistances(src model.Location, leaf NodeID, sd *sourceDist
 	// Superior door outer, access door inner: the walk distance to each
 	// superior door is computed once, and the per-door first-wins strict-<
 	// update offers each access door its candidates in superior-door order.
-	// The batched seed shares the same candidate order through
-	// seedLeafCompact; at single-query scale the in-place update beats
-	// gathering (the compact arrays only pay for themselves when one gather
-	// serves a whole batch group).
 	for si, s := range sup {
 		ri := supRows[si]
 		if ri < 0 {
@@ -96,45 +93,6 @@ func (t *Tree) seedLeafDistances(src model.Location, leaf NodeID, sd *sourceDist
 			}
 		}
 	}
-}
-
-// seedLeafCompact is the shared core of the leaf seed: it gathers the
-// compact (column, door) destinations of leaf's access doors and the compact
-// (walk distance, row, door) sources of src's superior doors, and sweeps the
-// leaf matrix slab into cb.best/cb.via. Candidates are offered in the same
-// superior-door order as the loop it replaces, so winners and via doors are
-// identical. Both the single-query seed (which scatters into the dense door
-// table) and the batched seed (which scatters into an access-door-aligned
-// row) consume it.
-func (t *Tree) seedLeafCompact(src model.Location, leaf NodeID, cb *combineScratch) {
-	v := t.venue
-	mat := t.nodes[leaf].Matrix
-	sup := t.pk.superiorDoorsOf(src.Partition)
-	supRows := t.pk.supRowsOf(src.Partition)
-	adCols := t.pk.adPosInOwn[leaf]
-	cols, dsts, dstIdx := cb.cols[:0], cb.dsts[:0], cb.dstIdx[:0]
-	for ai, a := range t.nodes[leaf].AccessDoors {
-		if ci := adCols[ai]; ci >= 0 {
-			cols = append(cols, ci)
-			dsts = append(dsts, a)
-			dstIdx = append(dstIdx, int32(ai))
-		}
-	}
-	cb.cols, cb.dsts, cb.dstIdx = cols, dsts, dstIdx
-	cb.prepareBest()
-	if len(cols) == 0 {
-		return
-	}
-	base, rows, doors := cb.base[:0], cb.rows[:0], cb.doors[:0]
-	for si, s := range sup {
-		if ri := supRows[si]; ri >= 0 {
-			base = append(base, v.DistToDoor(src, s))
-			rows = append(rows, ri)
-			doors = append(doors, s)
-		}
-	}
-	cb.base, cb.rows, cb.doors = base, rows, doors
-	cb.sweep(mat)
 }
 
 // propagateToParent extends the distances from the access doors of child to
@@ -202,6 +160,21 @@ func (t *Tree) Distance(s, d model.Location) float64 {
 	}
 	t.distScratches.put(sc)
 	return dist
+}
+
+// DistanceBatch implements index.DistanceBatcher: out[i] is
+// Distance(pairs[i].S, pairs[i].T), with the pairs fanned over workers
+// goroutines (workers <= 1 runs on the calling goroutine). out must be at
+// least len(pairs) long. Each pair runs its own Distance, so the results are
+// bit-identical to per-pair calls at any worker count.
+func (t *Tree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
+	if len(pairs) == 0 {
+		return
+	}
+	_ = out[len(pairs)-1] // fail fast when out is too short
+	runParallel(len(pairs), workers, func(_, i int) {
+		out[i] = t.Distance(pairs[i].S, pairs[i].T)
+	})
 }
 
 // sameLeafPath answers Path for endpoints that share a leaf with the one D2D

@@ -100,76 +100,6 @@ func (dt *doorTable) viaOf(d model.DoorID) model.DoorID {
 	return dt.via[d]
 }
 
-// combineScratch holds the compact gather buffers of the branch-light
-// combine sweeps used by the batched distance path (batch.go). Each sweep
-// first gathers its valid (distance, matrix position, door) triples —
-// dropping missing positions, absent table entries and unreachable bases
-// once, up front — and then runs a tight row-major min-reduction over the
-// compacted arrays whose only data-dependent branch is the min update
-// itself. Unreachable matrix cells need no test inside the sweep: Infinite
-// is math.MaxFloat64, so a candidate through one can never win a strict <
-// against a best that starts at Infinite. The gather only pays for itself
-// when shared — a batch group reuses one gather across every query (and, in
-// the multi-source climb, across every source); the single-query loops keep
-// their in-place skipping form, which measures faster at the paper's small
-// access-door counts.
-type combineScratch struct {
-	// Gathered sources: finite base distances, their matrix row positions
-	// and their door IDs (the via door a win is recorded under).
-	base  []float64
-	rows  []int32
-	doors []model.DoorID
-	// Gathered destinations: matrix column positions, door IDs and the
-	// ordinal of each destination in the node's access-door list.
-	cols   []int32
-	dsts   []model.DoorID
-	dstIdx []int32
-	// Per-destination running minima and winning via doors.
-	best []float64
-	via  []model.DoorID
-}
-
-// prepareBest sizes best/via for the gathered destinations, initialising
-// every running minimum to unreachable. via needs no initialisation: it is
-// only consulted for destinations whose best is finite, and the sweep writes
-// the via door on every best update. Callers gather cols/dsts/dstIdx and
-// base/rows/doors with plain appends on local slice headers (which the
-// compiler keeps in registers) rather than through helper methods.
-func (cb *combineScratch) prepareBest() {
-	n := len(cb.cols)
-	if cap(cb.best) < n {
-		cb.best = make([]float64, n)
-		cb.via = make([]model.DoorID, n)
-	}
-	cb.best = cb.best[:n]
-	cb.via = cb.via[:n]
-	for j := range cb.best {
-		cb.best[j] = Infinite
-	}
-}
-
-// sweep runs the min-reduction: for every gathered source k and destination
-// j it offers base[k] + mat[rows[k]][cols[j]] with via doors[k], walking the
-// matrix slab row-major. Sources are offered in gather order, so with the
-// strict < update the first minimal source wins — the same winner the
-// skipping loops it replaces selected.
-func (cb *combineScratch) sweep(mat *Matrix) {
-	stride := len(mat.cols)
-	slab := mat.dist
-	cols, best, via := cb.cols, cb.best, cb.via
-	for k := range cb.base {
-		row := slab[int(cb.rows[k])*stride:]
-		b := cb.base[k]
-		d := cb.doors[k]
-		for j, cj := range cols {
-			if c := b + row[cj]; c < best[j] {
-				best[j] = c
-				via[j] = d
-			}
-		}
-	}
-}
-
 // pathScratch holds the reusable buffers of one shortest-path expansion:
 // the partial via-door skeleton, the expanded door sequence, the
 // target-side segment of the VIP expansion, the explicit work stack of the

@@ -130,13 +130,6 @@ type Tree struct {
 	// allocation-free and safe for concurrent callers.
 	distScratches freeList[distScratch]
 
-	// batchStates recycles the per-batch plan state of the batched distance
-	// path (batch.go): grouping arrays, endpoint sets, leaf climb chains
-	// and the table arenas. batchScratches recycles the per-worker scratch
-	// (combine buffers, pairing-position gathers and the same-leaf search).
-	batchStates    freeList[batchState]
-	batchScratches freeList[batchScratch]
-
 	// climb is the tree-lifetime cache of Algorithm-2 climb blocks consulted
 	// by the batched kNN/range path (climbcache.go). Climb blocks depend
 	// only on the static tree topology, so the cache lives on the tree and

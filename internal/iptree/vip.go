@@ -3,6 +3,7 @@ package iptree
 import (
 	"time"
 
+	"viptree/internal/index"
 	"viptree/internal/model"
 )
 
@@ -266,6 +267,19 @@ func (vt *VIPTree) Distance(s, d model.Location) float64 {
 	return dist
 }
 
+// DistanceBatch implements index.DistanceBatcher for the VIP-Tree: out[i]
+// is the VIP-Tree Distance(pairs[i].S, pairs[i].T), with the pairs fanned
+// over workers goroutines, exactly like Tree.DistanceBatch.
+func (vt *VIPTree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
+	if len(pairs) == 0 {
+		return
+	}
+	_ = out[len(pairs)-1] // fail fast when out is too short
+	runParallel(len(pairs), workers, func(_, i int) {
+		out[i] = vt.Distance(pairs[i].S, pairs[i].T)
+	})
+}
+
 // vipResult is the outcome of one cross-leaf VIP distance computation: the
 // pair/sup/node fields identify the optimal skeleton used by Path; the side
 // data lives in the query scratch.
@@ -332,17 +346,13 @@ func (vt *VIPTree) vipQuery(s, d model.Location, sc *vipScratch) vipResult {
 // ancestor of the location's leaf) using only the superior doors of the
 // location's partition and the materialised per-door distances — the
 // modified Algorithm 2 of Section 3.1.2. dist[i] receives the distance to
-// AccessDoors[i] and via[i] the superior door achieving it. A nil via skips
-// the via writes: the batched Distance path computes one side per distinct
-// endpoint and needs no path skeleton.
+// AccessDoors[i] and via[i] the superior door achieving it.
 func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, dist []float64, via []model.DoorID) {
 	t := vt.Tree
 	v := t.venue
 	ads := t.nodes[node].AccessDoors
 	for i := range dist {
 		dist[i] = Infinite
-	}
-	for i := range via {
 		via[i] = NoDoor
 	}
 	// Each superior door's entry block for this node is one contiguous
@@ -366,9 +376,7 @@ func (vt *VIPTree) sideDistances(loc model.Location, node NodeID, dist []float64
 			}
 			if base+md < dist[i] {
 				dist[i] = base + md
-				if via != nil {
-					via[i] = sdoor
-				}
+				via[i] = sdoor
 			}
 		}
 	}

@@ -97,6 +97,11 @@ type QueryResponse struct {
 	Results []WireResult `json:"results"`
 }
 
+// maxQueryBody caps the bytes a POST /query body may hold; a longer body is
+// refused with 413 before it is decoded in full. The largest servebench
+// request, 256 distance queries, is ~44 KB.
+const maxQueryBody = 8 << 20
+
 // errorBody is the JSON error envelope of non-200 responses.
 type errorBody struct {
 	Error string `json:"error"`
@@ -148,8 +153,13 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer n.release()
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "decoding request: " + err.Error()})
 		return
 	}
 	queries := make([]engine.Query, len(req.Queries))

@@ -250,6 +250,36 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestQueryBodyCap: a valid request whose JSON is padded with whitespace past
+// maxQueryBody is refused with 413 and the JSON error envelope; the same
+// request with a little padding is answered.
+func TestQueryBodyCap(t *testing.T) {
+	n, _ := testNode(t, map[string]string{"alpha": "0001"}, nil)
+	h := n.Handler()
+	qs, _ := distanceProbe(fixture(t), 1, 37)
+	q, err := json.Marshal(qs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(pad int) *httptest.ResponseRecorder {
+		body := `{"queries":[` + strings.Repeat(" ", pad) + string(q) + `]}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/query/alpha", strings.NewReader(body)))
+		return rec
+	}
+	if rec := post(1 << 10); rec.Code != http.StatusOK {
+		t.Fatalf("padded request under the cap: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	rec := post(maxQueryBody)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded request past the cap: status %d, want 413", rec.Code)
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("413 body %q is not the JSON error envelope (%v)", rec.Body.String(), err)
+	}
+}
+
 // TestAdmissionControl: with the semaphore full, requests are shed with 429
 // and counted; with a slot free they are admitted again.
 func TestAdmissionControl(t *testing.T) {

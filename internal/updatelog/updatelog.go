@@ -57,6 +57,12 @@ type Log struct {
 	writing  bool
 	follower func(applied []Record)
 
+	// batch and applied are the leader's round buffers, reused across
+	// rounds and leaders: only the goroutine running lead touches them,
+	// and l.mu orders one leader's last use before the next one's first.
+	batch   []*request
+	applied []Record
+
 	seq  uint64        // last assigned seq; owned by the leader
 	head atomic.Uint64 // last applied seq
 	pub  atomic.Uint64 // last published seq (epoch visible to readers)
@@ -119,9 +125,7 @@ func (l *Log) Submit(op Op, id int, loc model.Location) (int, uint64, error) {
 // released. Exactly one goroutine runs lead at a time (guarded by
 // l.writing), which is what makes the Applier single-writer.
 func (l *Log) lead() {
-	// batch and applied are leader-owned buffers reused across rounds.
-	var batch []*request
-	var applied []Record
+	batch, applied := l.batch, l.applied
 	for {
 		follow := l.follower
 		batch = append(batch[:0], l.queue...)
@@ -155,6 +159,10 @@ func (l *Log) lead() {
 
 		l.mu.Lock()
 		if len(l.queue) == 0 {
+			// Drop the woken requests, those of earlier, longer rounds
+			// too: their submitters recycle them.
+			clear(batch[:cap(batch)])
+			l.batch, l.applied = batch[:0], applied[:0]
 			l.writing = false
 			l.mu.Unlock()
 			return

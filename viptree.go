@@ -179,9 +179,9 @@ type (
 	// LocationPair is one source/target pair of a batched distance query.
 	LocationPair = index.LocationPair
 	// DistanceBatcher is the capability interface of indexes that answer
-	// many distance queries in one call, sharing work between queries; the
-	// IP-Tree and VIP-Tree implement it and the engine's batched query
-	// planner uses it automatically.
+	// many distance queries in one call, fanning the pairs over a worker
+	// pool; the IP-Tree and VIP-Tree implement it and the engine's batched
+	// query planner uses it automatically.
 	DistanceBatcher = index.DistanceBatcher
 	// KNNQuery is one query of a batched kNN call (query point and result
 	// count).
