@@ -112,7 +112,8 @@ func distCompetitors(b *builtIndexes) []distCompetitor {
 
 // crossLeafPairs filters random query pairs down to those whose endpoints
 // lie in different leaves of the tree: the indexed hot path (same-partition
-// and same-leaf queries fall back to direct computation or a D2D expansion).
+// and same-leaf queries are answered by direct computation or from the
+// leaf's door table).
 func crossLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) []bench.QueryPair {
 	var out []bench.QueryPair
 	for attempt := int64(0); len(out) < n && attempt < 64; attempt++ {
@@ -129,8 +130,8 @@ func crossLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) [
 }
 
 // sameLeafPairs keeps the pairs of a uniform sample of n whose endpoints lie
-// in different partitions of one leaf: the queries the trees answer with an
-// exact D2D search instead of their matrices, and that return doors from
+// in different partitions of one leaf: the queries the trees answer from the
+// leaf's door table instead of their matrices, and that return doors from
 // Path. On Men small, 687 of the 4,000 pairs of seed 11 qualify.
 func sameLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) []bench.QueryPair {
 	var out []bench.QueryPair
@@ -143,7 +144,9 @@ func sameLeafPairs(v *viptree.Venue, tree *viptree.IPTree, n int, seed int64) []
 }
 
 // leafRows runs one query function of every competitor as a cross-leaf row
-// and a same-leaf row, side by side.
+// and a same-leaf row, side by side. Each row runs every pair once before
+// the timer starts, so the same-leaf rows time the trees' warm door tables,
+// not their first-use build (BenchmarkLeafTableFirstUse times that).
 func leafRows(b *testing.B, idx *builtIndexes, query func(distCompetitor, bench.QueryPair)) {
 	v := benchVenue("Men")
 	rows := []struct {
@@ -160,7 +163,11 @@ func leafRows(b *testing.B, idx *builtIndexes, query func(distCompetitor, bench.
 					if len(row.pairs) == 0 {
 						b.Skip("no pairs")
 					}
+					for _, p := range row.pairs {
+						query(comp, p) // warm the scratch and the door tables
+					}
 					b.ReportAllocs()
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						query(comp, row.pairs[i%len(row.pairs)])
 					}
@@ -173,10 +180,10 @@ func leafRows(b *testing.B, idx *builtIndexes, query func(distCompetitor, bench.
 // BenchmarkDistance measures the warm shortest-distance hot path of every
 // index on cross-leaf and on same-leaf pairs, with allocation statistics:
 // the VIP-Tree and IP-Tree rows must report 0 allocs/op in both (their
-// scratch is recycled dense slices and the same-leaf D2D search runs on it;
-// see internal/iptree/scratch.go and the regression tests
-// TestVIPDistanceZeroAlloc and TestVIPDistanceZeroAllocAnyPair). The
-// same-leaf rows time the exact D2D search the trees fall back to.
+// scratch is recycled dense slices; see internal/iptree/scratch.go and the
+// regression tests TestVIPDistanceZeroAlloc and
+// TestVIPDistanceZeroAllocAnyPair). The trees' same-leaf rows time reads of
+// the leaf's door table (internal/iptree/leaftable.go).
 func BenchmarkDistance(b *testing.B) {
 	leafRows(b, benchIndexes("Men"), func(c distCompetitor, p bench.QueryPair) { c.dist(p.S, p.T) })
 }
@@ -185,9 +192,9 @@ func BenchmarkDistance(b *testing.B) {
 // cross-leaf and on same-leaf pairs, with allocation statistics: the
 // VIP-Tree and IP-Tree rows must report 1 alloc/op — the returned door
 // slice — with the partial path, via-chain unwind, Algorithm-4 expansion and
-// same-leaf search all running on recycled scratch (see
-// internal/iptree/path.go and the regression tests
-// TestIPPathAllocsResultSliceOnly / TestVIPPathAllocsResultSliceOnly).
+// the same-leaf in-leaf search all running on recycled scratch (see
+// internal/iptree/path.go, internal/iptree/leaftable.go and the regression
+// tests TestIPPathAllocsResultSliceOnly / TestVIPPathAllocsResultSliceOnly).
 func BenchmarkPath(b *testing.B) {
 	leafRows(b, benchIndexes("Men"), func(c distCompetitor, p bench.QueryPair) { c.path(p.S, p.T) })
 }
@@ -241,9 +248,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // endpoint distinct — the planner's worst case, where only the folded
 // pairing sweep and duplicate-endpoint elimination help). Both are filtered
 // to cross-leaf pairs, the indexed hot path, exactly like BenchmarkDistance:
-// same-partition and same-leaf queries fall back to direct computation or a
-// D2D expansion whether batched or not, and would only add identical noise
-// to both sides of the comparison.
+// same-partition and same-leaf queries are answered by direct computation or
+// from the leaf's door table whether batched or not, and would only add
+// identical noise to both sides of the comparison.
 func batchedBenchWorkloads(v *viptree.Venue, tree *viptree.IPTree) []struct {
 	name  string
 	pairs []viptree.LocationPair
@@ -322,9 +329,7 @@ func BenchmarkBatchedDistance(b *testing.B) {
 // (the engine has one batch executor, so there is no unbatched engine row).
 // The Men-full row has the shape of one servebench coalesced request: 256
 // uniform pairs on the full-scale Menzies venue, 18 of them (7 %) with both
-// ends in one leaf. Each of those runs a D2D search that costs as much as
-// hundreds of cross-leaf pairs, so the row shows how evenly the workers
-// share them.
+// ends in one leaf, which read the leaf's door table.
 func BenchmarkExecuteBatch(b *testing.B) {
 	idx := benchIndexes("Men")
 	v := benchVenue("Men")
@@ -491,8 +496,8 @@ func BenchmarkBatchedRange(b *testing.B) {
 // fixtures. Men-small holds 50 objects and 128 query points on the
 // small-scale Menzies venue. Men-full is servebench's shape: 250 objects of
 // seed 7 and 256 points of seed 21 on the full-scale venue, whose leaves
-// hold up to 109 doors, so the query's own-leaf D2D search is most of the
-// cost.
+// hold up to 109 doors; the query's own leaf is scanned through the leaf's
+// door table.
 func objectRows(b *testing.B, query func(oi *viptree.ObjectIndex, q viptree.Location)) {
 	rows := []struct {
 		name    string
@@ -537,6 +542,49 @@ func BenchmarkKNN(b *testing.B) {
 // (r = 100 m), also at 1 alloc/op (TestRangeAllocsResultSliceOnly).
 func BenchmarkRange(b *testing.B) {
 	objectRows(b, func(oi *viptree.ObjectIndex, q viptree.Location) { oi.Range(q, 100) })
+}
+
+// BenchmarkLeafTableFirstUse times the door-table builds a restored tree
+// pays on its first same-leaf queries, the work kept out of the build and
+// the restore. Each op restores the Men-full VIP-Tree from snapshot bytes
+// with the timer stopped, so it holds no table, then times one same-leaf
+// Distance in each of its 14 leaves: every query builds its leaf's table.
+func BenchmarkLeafTableFirstUse(b *testing.B) {
+	b.Run("Men-full", func(b *testing.B) {
+		tree := menFullTree()
+		v := tree.Venue()
+		var buf bytes.Buffer
+		if err := viptree.WriteSnapshot(&buf, v, tree, nil); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		// The first same-leaf pair of each leaf in a uniform sample.
+		var pairs []bench.QueryPair
+		seen := map[iptree.NodeID]bool{}
+		for _, p := range bench.Pairs(toModelVenue(v), 4000, 11) {
+			leaf := tree.Leaf(p.S.Partition)
+			if p.S.Partition != p.T.Partition && leaf == tree.Leaf(p.T.Partition) && !seen[leaf] {
+				seen[leaf] = true
+				pairs = append(pairs, p)
+			}
+		}
+		if len(pairs) != tree.NumLeaves() {
+			b.Fatalf("same-leaf pairs cover %d of %d leaves", len(pairs), tree.NumLeaves())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, err := viptree.ReadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, p := range pairs {
+				s.VIP.Distance(p.S, p.T)
+			}
+		}
+	})
 }
 
 // BenchmarkKNNUnderChurn measures warm kNN latency while a background

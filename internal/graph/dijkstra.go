@@ -5,9 +5,7 @@ import "slices"
 // This file holds the repository's one Dijkstra search. SearchScratch runs it
 // on caller-owned buffers: seeds at any start distance (so the search is
 // multi-source), an optional target set that ends the search once every
-// target is settled, an optional distance limit that ends it before the
-// first vertex beyond the limit is settled, and a predecessor for every
-// reached vertex. Run relaxes the edges of a Graph; Pop and Relax let a
+// target is settled, and a predecessor for every reached vertex. Run relaxes the edges of a Graph; Pop and Relax let a
 // caller drive the loop itself, to evaluate objects at each settled vertex
 // or to relax edges the graph does not hold. FromSource, ShortestDist and
 // ShortestPath wrap a fresh scratch.
@@ -26,8 +24,7 @@ import "slices"
 // distinct scratches are safe. The zero value is ready for Reset.
 //
 // A search is Reset, then seeded (Seed) and optionally given targets
-// (Target) and a limit (Limit), then run, either by Run or by a caller loop
-// of Pop and Relax. Edge weights must be non-negative, which Graph enforces.
+// (Target), then run, either by Run or by a caller loop of Pop and Relax. Edge weights must be non-negative, which Graph enforces.
 type SearchScratch struct {
 	n       int
 	dist    []float64
@@ -40,13 +37,10 @@ type SearchScratch struct {
 	epoch       uint32
 	pending     int
 	targeted    bool
-	// limit is the largest distance the search settles (Infinity when
-	// unlimited).
-	limit float64
 }
 
-// Reset starts a new search over a graph with n vertices, with no seeds, no
-// targets and no limit.
+// Reset starts a new search over a graph with n vertices, with no seeds and
+// no targets.
 func (sc *SearchScratch) Reset(n int) {
 	if len(sc.dist) < n {
 		sc.dist = make([]float64, n)
@@ -68,7 +62,6 @@ func (sc *SearchScratch) Reset(n int) {
 	sc.n = n
 	sc.pending = 0
 	sc.targeted = false
-	sc.limit = Infinity
 	sc.epoch++
 	if sc.epoch == 0 { // epoch wrapped: clear the marks and restart
 		clear(sc.targetStamp)
@@ -95,12 +88,6 @@ func (sc *SearchScratch) Target(v int) {
 	}
 }
 
-// Limit ends the search before it settles a vertex farther than d. Every
-// vertex within d is still settled at its exact distance, and every vertex
-// left unsettled keeps a tentative distance above d (Infinity when
-// unreached). Like targets, the limit is set before the search runs.
-func (sc *SearchScratch) Limit(d float64) { sc.limit = d }
-
 // Relax offers v at distance d through its predecessor u (-1 for none). If d
 // improves on v's distance, v takes it and is queued again; a settled vertex
 // is never improved, because weights are non-negative.
@@ -116,8 +103,8 @@ func (sc *SearchScratch) Relax(u, v int, d float64) {
 }
 
 // Pop settles the closest queued vertex and returns it with its distance.
-// ok is false once the search is done: the queue is empty, every target is
-// settled, or the closest queued vertex lies beyond the limit.
+// ok is false once the search is done: the queue is empty or every target
+// is settled.
 func (sc *SearchScratch) Pop() (v int, d float64, ok bool) {
 	for len(sc.heap.items) > 0 && (sc.pending > 0 || !sc.targeted) {
 		v, d = sc.heap.PopMin()
@@ -125,12 +112,6 @@ func (sc *SearchScratch) Pop() (v int, d float64, ok bool) {
 		// stale copy of a vertex already settled.
 		if d > sc.dist[v] {
 			continue
-		}
-		if d > sc.limit {
-			// Every vertex still queued is at least as far: the search is
-			// done for good, so later Pops find the queue empty.
-			sc.heap.items = sc.heap.items[:0]
-			break
 		}
 		if sc.targetStamp[v] == sc.epoch {
 			sc.targetStamp[v] = 0
@@ -145,9 +126,8 @@ func (sc *SearchScratch) Pop() (v int, d float64, ok bool) {
 // search is done. It returns the distance and predecessor arrays of the
 // search: Infinity and -1 for vertices it did not reach, -1 for seeds that
 // no other vertex improved. They alias the scratch and stay valid until its
-// next Reset. A reached vertex may be left unsettled when the targets are
-// all settled first (if it is not a target) or when it lies beyond the
-// limit.
+// next Reset. A reached vertex that is not a target may be left unsettled
+// when the targets are all settled first.
 func (sc *SearchScratch) Run(g *Graph) (dist []float64, prev []int) {
 	dist, prev = sc.dist, sc.prev
 	for {

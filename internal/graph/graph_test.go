@@ -314,47 +314,35 @@ func TestDijkstraAgainstFloydWarshallRandom(t *testing.T) {
 				}
 			}
 		}
-		// Under a limit, a caller loop of Pop and Relax settles exactly the
-		// vertices within the limit, each at its Floyd–Warshall distance,
-		// and leaves every other vertex with a distance beyond the limit.
+		// A caller loop of Pop and Relax settles every vertex the seed
+		// reaches once, at its Floyd–Warshall distance, and no other.
 		for trial := 0; trial < 10; trial++ {
 			sc.Reset(n)
 			src, off := rng.Intn(n), rng.Float64()*5
 			sc.Seed(src, off)
-			limit := rng.Float64() * 40
-			sc.Limit(limit)
 			settled := make([]bool, n)
 			for {
 				u, du, ok := sc.Pop()
 				if !ok {
 					break
 				}
-				if du > limit {
-					t.Fatalf("iter %d: Pop returned %d at %v beyond the limit %v", iter, u, du, limit)
+				if settled[u] {
+					t.Fatalf("iter %d: Pop settled %d twice", iter, u)
 				}
 				settled[u] = true
 				for _, e := range g.Neighbors(u) {
 					sc.Relax(u, e.To, du+e.Weight)
 				}
 			}
-			if _, _, ok := sc.Pop(); ok {
-				t.Fatalf("iter %d: Pop settled a vertex after the search ended", iter)
-			}
 			for v := 0; v < n; v++ {
-				want := Infinity
-				if fw[src][v] != Infinity {
-					want = off + fw[src][v]
-				}
-				if math.Abs(want-limit) < 1e-9 {
-					continue // too close to the limit to classify
-				}
-				got := sc.Dist(v)
-				if want < limit {
-					if !settled[v] || math.Abs(got-want) > 1e-9 {
-						t.Fatalf("iter %d: vertex %d within the limit %v: settled %v at %v, want %v", iter, v, limit, settled[v], got, want)
+				if fw[src][v] == Infinity {
+					if settled[v] || sc.Dist(v) != Infinity {
+						t.Fatalf("iter %d: unreachable vertex %d settled %v at %v", iter, v, settled[v], sc.Dist(v))
 					}
-				} else if settled[v] || got <= limit {
-					t.Fatalf("iter %d: vertex %d beyond the limit %v (at %v): settled %v, dist %v", iter, v, limit, want, settled[v], got)
+					continue
+				}
+				if got, want := sc.Dist(v), off+fw[src][v]; !settled[v] || math.Abs(got-want) > 1e-9 {
+					t.Fatalf("iter %d: vertex %d settled %v at %v, want %v", iter, v, settled[v], got, want)
 				}
 			}
 		}
@@ -390,7 +378,7 @@ func TestMemoryBytesPositive(t *testing.T) {
 // scratch's answers exactly, including predecessor chains. This is what
 // makes scratch reuse safe for the matrix builder, which runs thousands of
 // localised searches per tree, and for the per-query scratch of the
-// same-leaf searches.
+// in-leaf searches of same-leaf paths.
 func TestSearchScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var reused SearchScratch

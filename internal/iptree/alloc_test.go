@@ -10,8 +10,8 @@ import (
 
 // crossLeafPairs returns query pairs whose endpoints lie in different leaves
 // of the tree — the indexed hot path of Algorithm 3 / Section 3.1.2 (same-
-// partition and same-leaf queries fall back to direct computation or a D2D
-// expansion instead).
+// partition and same-leaf queries are answered by direct computation or
+// from the leaf's door table instead).
 func crossLeafPairs(t *Tree, v *model.Venue, n int, seed int64) [][2]model.Location {
 	rng := rand.New(rand.NewSource(seed))
 	var out [][2]model.Location
@@ -25,8 +25,8 @@ func crossLeafPairs(t *Tree, v *model.Venue, n int, seed int64) [][2]model.Locat
 }
 
 // sameLeafPairs returns query pairs whose endpoints lie in different
-// partitions of one leaf: the pairs answered by the same-leaf D2D search on
-// the query's own scratch, whose Path returns a non-empty door slice.
+// partitions of one leaf: the pairs answered from the leaf's door table,
+// whose Path returns a non-empty door slice.
 func sameLeafPairs(t *Tree, v *model.Venue, n int, seed int64) [][2]model.Location {
 	rng := rand.New(rand.NewSource(seed))
 	var out [][2]model.Location
@@ -67,9 +67,9 @@ func TestVIPDistanceZeroAlloc(t *testing.T) {
 }
 
 // TestVIPDistanceZeroAllocAnyPair extends the zero-alloc guarantee to
-// arbitrary location pairs: the same-partition and same-leaf fallbacks (a
-// direct computation and a D2D search on the query's scratch) must not
-// allocate either.
+// arbitrary location pairs: the same-partition and same-leaf answers (a
+// direct computation and a read of the leaf's door table, whose first use
+// builds it during the warm-up) must not allocate either.
 func TestVIPDistanceZeroAllocAnyPair(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-any", Floors: 4, RoomsPerHallway: 16, Seed: 1,
@@ -121,9 +121,9 @@ func TestIPDistanceZeroAlloc(t *testing.T) {
 
 // TestIPPathAllocsResultSliceOnly is the allocation-regression test for the
 // warm IP-Tree Path hot path: the via-chain unwind, the partial path, the
-// iterative Algorithm-4 expansion and the same-leaf D2D search all run on
-// recycled scratch buffers (pathScratch), so the only allocation of a warm
-// cross-leaf or same-leaf query is the returned door slice.
+// iterative Algorithm-4 expansion and the same-leaf in-leaf search all run
+// on recycled scratch buffers (pathScratch), so the only allocation of a
+// warm cross-leaf or same-leaf query is the returned door slice.
 func TestIPPathAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-path", Floors: 4, RoomsPerHallway: 16, Seed: 1,
@@ -152,8 +152,8 @@ func TestIPPathAllocsResultSliceOnly(t *testing.T) {
 }
 
 // TestVIPPathAllocsResultSliceOnly asserts the same property for the
-// VIP-Tree Path, whose per-door next-hop expansion and same-leaf search
-// share the recycled buffers.
+// VIP-Tree Path, whose per-door next-hop expansion and same-leaf in-leaf
+// search share the recycled buffers.
 func TestVIPPathAllocsResultSliceOnly(t *testing.T) {
 	v := venuegen.MustBuilding(venuegen.BuildingConfig{
 		Name: "alloc-path-vip", Floors: 4, RoomsPerHallway: 16, Seed: 1,

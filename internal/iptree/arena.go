@@ -2,6 +2,7 @@ package iptree
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"viptree/internal/model"
 )
@@ -128,7 +129,8 @@ const (
 // restore call it once, handing over the tables only pack() keeps: the
 // per-door node lists and the superior doors of every partition. The tree
 // must not be mutated afterwards (object updates live outside the tree and
-// are unaffected).
+// are unaffected). It also sizes the leaf-table slots, all empty: a leaf's
+// door table is built by the first query that needs it (leaftable.go).
 func (t *Tree) pack(leavesOfDoor, accessNodesOfDoor doorCSR, superiorDoors [][]model.DoorID) {
 	numNodes := len(t.nodes)
 
@@ -229,6 +231,7 @@ func (t *Tree) pack(leavesOfDoor, accessNodesOfDoor doorCSR, superiorDoors [][]m
 
 	t.pk = pk
 	t.packPositions(superiorDoors)
+	t.leafTables = make([]atomic.Pointer[leafTable], len(t.doorsOfLeaf))
 }
 
 // packPositions fills the positional lookup tables, one contiguous int32

@@ -431,7 +431,7 @@ func TestSamePartitionAndSameLeafQueries(t *testing.T) {
 
 	// Sweep: on every same-leaf pair of a uniform sample (the pairs
 	// bench.Pairs draws with seed 11), Path's distance must equal
-	// Distance's bit for bit, because both come from one D2D search, and
+	// Distance's bit for bit, because Path takes it from Distance's code, and
 	// the doors must form a walk between the two locations.
 	men := venuegen.Menzies(venuegen.ScaleTiny)
 	ip := MustBuildIPTree(men, Options{})

@@ -854,22 +854,32 @@ func (oi *ObjectIndex) scanLeaf(ep *objEpoch, q model.Location, qLeaf, leaf Node
 		return
 	}
 	if leaf == qLeaf {
-		// Objects co-located with the query in the same leaf: their exact
-		// distances come from one D2D search on the query's own scratch,
-		// targeted at every object's partition and stopped at the current
-		// pruning bound. A distance beyond the bound comes back above it,
-		// and the collector drops it as it would the exact value, since the
-		// bound only shrinks while the leaf is added. Each search costs
-		// about a same-leaf Distance (see Tree.Distance), so on Menzies full
-		// with 250 objects a KNN(k=5) measured 0.57 ms with one search
-		// against 3.7 ms with one per object (BenchmarkKNN/Men-full, 2-vCPU
-		// Intel Xeon).
-		dists := slices.Grow(oc.leafDists[:0], len(lo.locs))[:len(lo.locs)]
-		t.venue.D2D().LocationDists(&oc.search, q, lo.locs, dists, results.bound())
+		// Objects co-located with the query in the same leaf: one sweep of
+		// the leaf's door table gives the query's distance to every door of
+		// the leaf, and each object's distance is then the least of those
+		// plus the walk from a door of its partition to it — Distance's
+		// arithmetic, so each equals Distance(q, object) bit for bit.
+		v := t.venue
+		lt := t.leafTableOf(leaf)
+		ws, from := t.walksFrom(lt, q, oc.walk)
+		u := resizeF64(oc.leafDoors, lt.n)
+		lt.fillFrom(u, ws, from)
+		oc.walk, oc.leafDoors = ws, u
 		for i, id := range lo.ids {
-			results.add(id, dists[i])
+			o := lo.locs[i]
+			if o.Partition == q.Partition {
+				results.add(id, v.SamePartitionDist(q, o))
+				continue
+			}
+			dist := Infinite
+			oDoors := v.Partition(o.Partition).Doors
+			for j, b := range lt.doorsOf(lt.ordinal(o.Partition)) {
+				if c := u[b] + v.DistToDoor(o, oDoors[j]); c < dist {
+					dist = c
+				}
+			}
+			results.add(id, dist)
 		}
-		oc.leafDists = dists
 		return
 	}
 	accessDist, _ := nd.get(leaf)

@@ -234,8 +234,8 @@ func TestKNNManyObjectsClustered(t *testing.T) {
 // TestKNNAndRangeInLargestLeaf packs 60 objects into the Menzies full leaf
 // with the most doors (109; the venues above keep every leaf at 31 or
 // fewer) and checks KNN and Range against the brute-force scan, from
-// sources inside that leaf, where the query's own-leaf search finds every
-// object, and from sources outside it.
+// sources inside that leaf, where the query's own-leaf scan of the door
+// table finds every object, and from sources outside it.
 func TestKNNAndRangeInLargestLeaf(t *testing.T) {
 	v := venuegen.Menzies(venuegen.ScaleFull)
 	vt := MustBuildVIPTree(v, Options{})

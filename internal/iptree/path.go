@@ -30,8 +30,8 @@ func (t *Tree) Path(s, d model.Location) (float64, []model.DoorID) {
 	sc := t.distScratches.get()
 	defer t.distScratches.put(sc)
 	ps := &sc.path
-	if t.Leaf(s.Partition) == t.Leaf(d.Partition) {
-		return t.sameLeafPath(s, d, ps)
+	if leaf := t.Leaf(s.Partition); leaf == t.Leaf(d.Partition) {
+		return t.sameLeafPath(s, d, leaf, ps)
 	}
 	dist, sdS, sdD, pair := t.distanceInternal(s, d, sc)
 	if dist == Infinite {
@@ -154,7 +154,7 @@ func (t *Tree) expandEdgeInto(a, b model.DoorID, out []model.DoorID, ps *pathScr
 	ps.stack = stack[:0]
 	if fail {
 		out = out[:mark]
-		out = t.appendFallbackPath(a, b, out, &ps.search)
+		out = t.appendFallbackPath(a, b, out, &ps.search.SearchScratch)
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package iptree
 
 import (
-	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 )
@@ -141,20 +140,15 @@ func (t *Tree) propagateToParent(child, parent NodeID, sd *sourceDists) {
 }
 
 // Distance implements Algorithm 3: the shortest indoor distance between two
-// arbitrary locations. The warm path is allocation-free: query scratch is
-// recycled through a lock-free free list, so concurrent callers are safe and
-// do not contend.
+// arbitrary locations. Two locations in one leaf are answered from the
+// leaf's door table (leaftable.go) instead of the paper's D2D expansion.
+// The warm path is allocation-free: query scratch is recycled through a
+// lock-free free list, so concurrent callers are safe and do not contend.
 func (t *Tree) Distance(s, d model.Location) float64 {
 	sc := t.distScratches.get()
 	var dist float64
-	if t.Leaf(s.Partition) == t.Leaf(d.Partition) {
-		// Both locations are in the same leaf: the paper falls back to a
-		// Dijkstra expansion on the D2D graph, run here on the query's own
-		// scratch. It is not cheap, because a hallway's doors form a clique
-		// of D2D edges: on Menzies full (one 101-door hallway) a same-leaf
-		// Distance measured ~180 µs against ~0.65 µs across leaves on a
-		// 2-vCPU Intel Xeon.
-		dist, _ = t.venue.D2D().LocationSearch(&sc.path.search, s, d)
+	if leaf := t.Leaf(s.Partition); leaf == t.Leaf(d.Partition) {
+		dist = t.sameLeafDistance(s, d, leaf, &sc.path.walk)
 	} else {
 		dist, _, _, _ = t.distanceInternal(s, d, sc)
 	}
@@ -168,24 +162,32 @@ func (t *Tree) Distance(s, d model.Location) float64 {
 // least len(pairs) long. Each pair runs its own Distance, so the results are
 // bit-identical to per-pair calls at any worker count.
 func (t *Tree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
+	distanceBatch(t, pairs, out, workers)
+}
+
+// distanceBatchRun is the number of consecutive pairs one work item of a
+// distance batch answers. A cross-leaf Distance costs about as much as
+// handing out one item (the shared cursor, a scratch get and put, an out
+// write next to the other worker's), so items of one pair made a
+// two-worker batch slower than a sequential loop.
+const distanceBatchRun = 16
+
+// distanceBatch answers a distance batch for either tree: fixed runs of
+// distanceBatchRun pairs fan out over the workers, and each pair runs q's
+// own Distance.
+func distanceBatch(q interface {
+	Distance(s, d model.Location) float64
+}, pairs []index.LocationPair, out []float64, workers int) {
 	if len(pairs) == 0 {
 		return
 	}
 	_ = out[len(pairs)-1] // fail fast when out is too short
-	runParallel(len(pairs), workers, func(_, i int) {
-		out[i] = t.Distance(pairs[i].S, pairs[i].T)
+	runs := (len(pairs) + distanceBatchRun - 1) / distanceBatchRun
+	runParallel(runs, workers, func(_, r int) {
+		for i := r * distanceBatchRun; i < min((r+1)*distanceBatchRun, len(pairs)); i++ {
+			out[i] = q.Distance(pairs[i].S, pairs[i].T)
+		}
 	})
-}
-
-// sameLeafPath answers Path for endpoints that share a leaf with the one D2D
-// search Distance runs, so the two distances agree bit for bit. The returned
-// door slice is the query's only allocation, and nil within one partition.
-func (t *Tree) sameLeafPath(s, d model.Location, ps *pathScratch) (float64, []model.DoorID) {
-	dist, last := t.venue.D2D().LocationSearch(&ps.search, s, d)
-	if last == NoDoor {
-		return dist, nil
-	}
-	return dist, graph.AppendPath([]model.DoorID(nil), &ps.search, int(last))
 }
 
 // distanceInternal computes the shortest distance between s and d, which

@@ -3,7 +3,6 @@ package iptree
 import (
 	"sync/atomic"
 
-	"viptree/internal/graph"
 	"viptree/internal/index"
 	"viptree/internal/model"
 )
@@ -14,9 +13,9 @@ import (
 // plain slices indexed by door ID instead of map[model.DoorID] scratch maps.
 // Tables are reset in O(1) with an epoch counter and recycled across queries
 // through a lock-free free list, making the warm VIP-Tree Distance path
-// allocation-free and safe for concurrent callers. Each query scratch that
-// can reach a same-leaf D2D search embeds its own graph.SearchScratch, so
-// that search draws on no shared pool either.
+// allocation-free and safe for concurrent callers. Same-leaf queries read
+// the leaf's door table (leaftable.go) through their scratch's walk
+// buffers; only Path runs a search, the in-leaf one, on its own scratch.
 
 // freeListSlots is the capacity of a freeList: one slot per worker of a pool
 // sized to GOMAXPROCS (the default of every worker pool here) on machines of
@@ -100,18 +99,21 @@ func (dt *doorTable) viaOf(d model.DoorID) model.DoorID {
 	return dt.via[d]
 }
 
-// pathScratch holds the reusable buffers of one shortest-path expansion:
-// the partial via-door skeleton, the expanded door sequence, the
+// pathScratch holds the reusable buffers of one distance or shortest-path
+// query: the partial via-door skeleton, the expanded door sequence, the
 // target-side segment of the VIP expansion, the explicit work stack of the
-// iterative Algorithm 4, and the D2D search of same-leaf queries and of
-// edges the matrices cannot decompose. All are grown once and recycled, so
-// a warm Path query allocates only its returned result slice.
+// iterative Algorithm 4, the walks from a same-leaf source to the doors of
+// its partition, and the search of same-leaf paths (the in-leaf search) and
+// of edges the matrices cannot decompose (a D2D search). All are grown once
+// and recycled, so a warm Distance allocates nothing and a warm Path only
+// its returned result slice.
 type pathScratch struct {
 	partial []model.DoorID
 	out     []model.DoorID
 	tmp     []model.DoorID
 	stack   []doorPair
-	search  graph.SearchScratch
+	walk    []float64
+	search  leafSearch
 }
 
 // distScratch is the reusable state of one IP-Tree distance/path query: the
@@ -188,10 +190,10 @@ func (nt *nodeDistTable) put(n NodeID, size int) []float64 {
 
 // objScratch is the reusable state of one kNN/Range traversal (Algorithm 5):
 // the per-node access-door distance cache, the best-first priority queue, the
-// per-object best distances of leaf scans, the D2D search of the query's own
-// leaf and the result accumulator. It is recycled through the object index's
-// free list, keeping the warm query path down to a single allocation (the
-// returned result slice).
+// per-object best distances of leaf scans, the query's distances to the
+// doors of its own leaf and the result accumulator. It is recycled through
+// the object index's free list, keeping the warm query path down to a single
+// allocation (the returned result slice).
 type objScratch struct {
 	nodes nodeDistTable
 	heap  []queuedNode
@@ -205,10 +207,11 @@ type objScratch struct {
 	// of the combination loop.
 	cmBase []float64
 	cmRows []int32
-	// search runs scanLeaf's exact D2D search in the query's own leaf, and
-	// leafDists receives its per-object distances.
-	search    graph.SearchScratch
-	leafDists []float64
+	// walk holds the walks from the query to the doors of its partition,
+	// and leafDoors its distance to every door of its own leaf, read from
+	// the leaf's door table by scanLeaf.
+	walk      []float64
+	leafDoors []float64
 }
 
 // bumpObjEpoch starts a fresh per-object marking generation for a set of n

@@ -24,6 +24,7 @@ package iptree
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"viptree/internal/index"
@@ -125,10 +126,17 @@ type Tree struct {
 	// it at the end of construction and restore.
 	pk *packed
 
-	// distScratches recycles per-query scratch (dense door tables and the
-	// same-leaf search), keeping the warm Distance/Path/KNN paths
-	// allocation-free and safe for concurrent callers.
+	// distScratches recycles per-query scratch (dense door tables, the
+	// same-leaf walks and the in-leaf search of same-leaf paths), keeping
+	// the warm Distance/Path/KNN paths allocation-free and safe for
+	// concurrent callers.
 	distScratches freeList[distScratch]
+
+	// leafTables holds each leaf's door table (leaftable.go), indexed by
+	// leaf NodeID: nil until the first query that needs the leaf builds
+	// and publishes it. pack() sizes the slice; no table is built before a
+	// query asks for one.
+	leafTables []atomic.Pointer[leafTable]
 
 	// climb is the tree-lifetime cache of Algorithm-2 climb blocks consulted
 	// by the batched kNN/range path (climbcache.go). Climb blocks depend

@@ -252,14 +252,15 @@ func (vt *VIPTree) entriesOffset(d model.DoorID, node NodeID) (int, bool) {
 
 // Distance implements the VIP-Tree shortest-distance query (Section 3.1.2):
 // O(ρ²) lookups via the superior doors of the two partitions and the
-// materialised distances to the LCA children's access doors. The warm path
-// performs no allocations; scratch is recycled through a lock-free free
-// list, so the method is safe for concurrent callers.
+// materialised distances to the LCA children's access doors. Two locations
+// in one leaf are answered from the leaf's door table, as in Tree.Distance.
+// The warm path performs no allocations; scratch is recycled through a
+// lock-free free list, so the method is safe for concurrent callers.
 func (vt *VIPTree) Distance(s, d model.Location) float64 {
 	sc := vt.vipScratches.get()
 	var dist float64
-	if vt.Leaf(s.Partition) == vt.Leaf(d.Partition) {
-		dist, _ = vt.venue.D2D().LocationSearch(&sc.path.search, s, d)
+	if leaf := vt.Leaf(s.Partition); leaf == vt.Leaf(d.Partition) {
+		dist = vt.sameLeafDistance(s, d, leaf, &sc.path.walk)
 	} else {
 		dist = vt.vipQuery(s, d, sc).dist
 	}
@@ -271,13 +272,7 @@ func (vt *VIPTree) Distance(s, d model.Location) float64 {
 // is the VIP-Tree Distance(pairs[i].S, pairs[i].T), with the pairs fanned
 // over workers goroutines, exactly like Tree.DistanceBatch.
 func (vt *VIPTree) DistanceBatch(pairs []index.LocationPair, out []float64, workers int) {
-	if len(pairs) == 0 {
-		return
-	}
-	_ = out[len(pairs)-1] // fail fast when out is too short
-	runParallel(len(pairs), workers, func(_, i int) {
-		out[i] = vt.Distance(pairs[i].S, pairs[i].T)
-	})
+	distanceBatch(vt, pairs, out, workers)
 }
 
 // vipResult is the outcome of one cross-leaf VIP distance computation: the
@@ -393,8 +388,8 @@ func (vt *VIPTree) Path(s, d model.Location) (float64, []model.DoorID) {
 	sc := vt.vipScratches.get()
 	defer vt.vipScratches.put(sc)
 	ps := &sc.path
-	if t.Leaf(s.Partition) == t.Leaf(d.Partition) {
-		return t.sameLeafPath(s, d, ps)
+	if leaf := t.Leaf(s.Partition); leaf == t.Leaf(d.Partition) {
+		return t.sameLeafPath(s, d, leaf, ps)
 	}
 	res := vt.vipQuery(s, d, sc)
 	if res.dist == Infinite {

@@ -13,9 +13,11 @@ import (
 //
 // The vertex identifier of door d is int(d). The graph is immutable after
 // construction; the search scratch of LocationDist and LocationPath is
-// pooled, so both are safe for concurrent callers. LocationSearch and
-// LocationDists run on caller-owned scratch instead: the first answers one
-// pair, the second every location of a set from one source in one search.
+// pooled, so both are safe for concurrent callers. LocationSearch runs the
+// same search on caller-owned scratch. These searches are the ground truth
+// every index is checked against and the engine of the DistAw baseline; the
+// IP-Tree and VIP-Tree answer same-leaf queries from per-leaf door tables
+// and search this graph only to build and in a rare path fallback.
 type D2DGraph struct {
 	Graph *graph.Graph
 	venue *Venue
@@ -144,43 +146,4 @@ func (d *D2DGraph) enter(sc *graph.SearchScratch, t Location) (dist float64, las
 		}
 	}
 	return dist, last
-}
-
-// LocationDists writes the distance from s to ts[i] into out[i] for every i
-// (out must hold len(ts) values), with one multi-target search on
-// caller-owned scratch in place of one LocationSearch per location. The
-// search is LocationSearch's, seeded and read out the same way, but it
-// targets the doors of every location's partition and stops early at
-// bound. Targets only decide when a search stops, never the order in which
-// it settles vertices, and a settled distance never changes, so out[i]
-// equals LocationSearch(sc, s, ts[i]) bit for bit whenever that distance is
-// at most bound. Every other location comes back with a value above bound.
-// A location in s's partition gets Venue.SamePartitionDist; when every
-// location is in s's partition, no search runs.
-func (d *D2DGraph) LocationDists(sc *graph.SearchScratch, s Location, ts []Location, out []float64, bound float64) {
-	v := d.venue
-	searched := false
-	for i, t := range ts {
-		if t.Partition == s.Partition {
-			out[i] = v.SamePartitionDist(s, t)
-			continue
-		}
-		if !searched {
-			searched = true
-			d.seed(sc, s)
-			sc.Limit(bound)
-		}
-		for _, did := range v.Partition(t.Partition).Doors {
-			sc.Target(int(did))
-		}
-	}
-	if !searched { // a search without targets would run to exhaustion
-		return
-	}
-	sc.Run(d.Graph)
-	for i, t := range ts {
-		if t.Partition != s.Partition {
-			out[i], _ = d.enter(sc, t)
-		}
-	}
 }

@@ -19,7 +19,7 @@
 set -euo pipefail
 
 readonly PAIRS=10
-readonly ROWS='^(BenchmarkDistance|BenchmarkPath|BenchmarkBatchedDistance|BenchmarkExecuteBatch|BenchmarkTreeBuild|BenchmarkKNN|BenchmarkRange|BenchmarkObjectUpdate)$'
+readonly ROWS='^(BenchmarkDistance|BenchmarkPath|BenchmarkBatchedDistance|BenchmarkExecuteBatch|BenchmarkTreeBuild|BenchmarkKNN|BenchmarkRange|BenchmarkObjectUpdate|BenchmarkLeafTableFirstUse)$'
 
 if [ $# -ne 1 ]; then
 	echo "usage: scripts/benchpair.sh BASE_REF" >&2
